@@ -147,21 +147,27 @@ func BenchmarkMatrixParallel(b *testing.B) {
 // scheduler-timeline overhead (-listen's bus with no subscriber
 // draining it, the common case of a campaign nobody is watching).
 func BenchmarkMatrixTelemetry(b *testing.B) {
-	run := func(b *testing.B, reg *telemetry.Registry, progress campaign.Progress, cov *coverage.Collector, sched campaign.SchedObserver) {
-		r := &campaign.Runner{Workers: 4, Telemetry: reg, Progress: progress, Coverage: cov, Sched: sched}
+	// withCov gives every campaign a fresh coverage collector, as a real
+	// run has: one shared across iterations accumulates state, making
+	// the per-op cost grow with b.N.
+	run := func(b *testing.B, reg *telemetry.Registry, progress campaign.Progress, withCov bool, sched campaign.SchedObserver) {
+		r := &campaign.Runner{Workers: 4, Telemetry: reg, Progress: progress, Sched: sched}
 		for i := 0; i < b.N; i++ {
+			if withCov {
+				r.Coverage = coverage.NewCollector()
+			}
 			entries, err := r.RunMatrix()
 			if err != nil {
 				b.Fatal(err)
 			}
 			_ = report.Matrix(entries)
-			if cov != nil {
-				_ = cov.Report()
+			if r.Coverage != nil {
+				_ = r.Coverage.Report()
 			}
 		}
 	}
-	b.Run("off", func(b *testing.B) { run(b, nil, nil, nil, nil) })
-	b.Run("on", func(b *testing.B) { run(b, telemetry.NewRegistry(), nil, nil, nil) })
+	b.Run("off", func(b *testing.B) { run(b, nil, nil, false, nil) })
+	b.Run("on", func(b *testing.B) { run(b, telemetry.NewRegistry(), nil, false, nil) })
 	b.Run("server", func(b *testing.B) {
 		reg := telemetry.NewRegistry()
 		srv := obs.NewServer(reg)
@@ -170,15 +176,15 @@ func BenchmarkMatrixTelemetry(b *testing.B) {
 		}
 		defer srv.Shutdown(context.Background())
 		b.ResetTimer()
-		run(b, reg, srv, nil, nil)
+		run(b, reg, srv, false, nil)
 	})
 	b.Run("coverage", func(b *testing.B) {
-		run(b, telemetry.NewRegistry(), nil, coverage.NewCollector(), nil)
+		run(b, telemetry.NewRegistry(), nil, true, nil)
 	})
 	b.Run("stream", func(b *testing.B) {
 		bus := events.NewBus(0, 0)
 		defer bus.Close()
-		run(b, telemetry.NewRegistry(), nil, nil,
+		run(b, telemetry.NewRegistry(), nil, false,
 			events.Fanout{&events.Publisher{Bus: bus}, events.NewTimeline()})
 	})
 }

@@ -325,15 +325,16 @@ func TestCLISmoke(t *testing.T) {
 	// regression and exits non-zero.
 	t.Run("benchdiff", func(t *testing.T) {
 		tmp := t.TempDir()
-		mk := func(name, nsOld string) string {
+		mkAllocs := func(name, ns, bytes, allocs string) string {
 			p := filepath.Join(tmp, name)
 			content := `{"Action":"output","Output":"BenchmarkFullMatrix-8   \t"}` + "\n" +
-				`{"Action":"output","Output":"       5\t` + nsOld + ` ns/op\t1024 B/op\t7 allocs/op\n"}` + "\n"
+				`{"Action":"output","Output":"       5\t` + ns + ` ns/op\t` + bytes + ` B/op\t` + allocs + ` allocs/op\n"}` + "\n"
 			if err := os.WriteFile(p, []byte(content), 0o644); err != nil {
 				t.Fatal(err)
 			}
 			return p
 		}
+		mk := func(name, nsOld string) string { return mkAllocs(name, nsOld, "1024", "7") }
 		old := mk("old.json", "100000")
 		out, err := exec.Command(filepath.Join(dir, "benchdiff"), old, old).CombinedOutput()
 		if err != nil {
@@ -347,7 +348,7 @@ func TestCLISmoke(t *testing.T) {
 		if err == nil {
 			t.Fatalf("3x regression passed the default 1.25x threshold:\n%s", out)
 		}
-		for _, want := range []string{"REGRESSED", "BenchmarkFullMatrix-8", "1 benchmark(s) regressed"} {
+		for _, want := range []string{"REGRESSED", "BenchmarkFullMatrix ", "1 benchmark(s) regressed"} {
 			if !strings.Contains(string(out), want) {
 				t.Errorf("regression output missing %q:\n%s", want, out)
 			}
@@ -356,6 +357,24 @@ func TestCLISmoke(t *testing.T) {
 		if out, err := exec.Command(filepath.Join(dir, "benchdiff"),
 			"-threshold", "4.0", old, slow).CombinedOutput(); err != nil {
 			t.Errorf("3x growth failed a 4.0x threshold: %v\n%s", err, out)
+		}
+		// B/op and allocs/op fail past a fixed 10% at any -threshold;
+		// growth within 10% passes.
+		for _, tc := range []struct {
+			bytes, allocs, why string
+		}{{"1200", "7", "B/op"}, {"1024", "8", "allocs/op"}} {
+			heavy := mkAllocs("heavy.json", "100000", tc.bytes, tc.allocs)
+			out, err := exec.Command(filepath.Join(dir, "benchdiff"), "-threshold", "4.0", old, heavy).CombinedOutput()
+			if err == nil {
+				t.Fatalf("%s growth past 10%% passed:\n%s", tc.why, out)
+			}
+			if want := "REGRESSED (" + tc.why + ")"; !strings.Contains(string(out), want) {
+				t.Errorf("%s growth output missing %q:\n%s", tc.why, want, out)
+			}
+		}
+		within := mkAllocs("within.json", "100000", "1100", "7")
+		if out, err := exec.Command(filepath.Join(dir, "benchdiff"), old, within).CombinedOutput(); err != nil {
+			t.Errorf("B/op growth within 10%% failed: %v\n%s", err, out)
 		}
 	})
 

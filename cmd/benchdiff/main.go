@@ -1,15 +1,20 @@
 // Command benchdiff compares two benchmark artifacts produced by
 // `make bench` (test2json streams of `go test -bench`, e.g.
-// BENCH_matrix.json) benchmark by benchmark and reports the ns/op
-// delta, so a perf regression shows up as a reviewable number instead
-// of a hunch. A benchmark whose ns/op grew beyond the threshold ratio
-// fails the comparison with a non-zero exit.
+// BENCH_matrix.json) benchmark by benchmark and reports the ns/op, B/op
+// and allocs/op deltas, so a perf regression shows up as a reviewable
+// number instead of a hunch. A benchmark whose ns/op grew beyond the threshold ratio
+// fails the comparison with a non-zero exit, and so does one whose B/op
+// or allocs/op grew by more than 10%. Allocation counts and bytes move
+// well under 1% between runs of one build, so that tolerance is fixed;
+// only the noisy wall-time threshold is a flag.
 //
 // Usage:
 //
 //	benchdiff old.json new.json
-//	benchdiff -threshold 1.10 old.json new.json   # fail on >10% growth
+//	benchdiff -threshold 1.10 old.json new.json   # fail on >10% ns/op growth
 //
+// Names are compared without the -N GOMAXPROCS suffix, so a baseline
+// taken on a machine with another core count still lines up.
 // Benchmarks present on only one side are reported as added/removed
 // but never fail the comparison — the set changes legitimately as the
 // suite grows.
@@ -39,6 +44,16 @@ type result struct {
 	NsPerOp     float64
 	BytesPerOp  float64
 	AllocsPerOp float64
+}
+
+// allocTolerance is the fixed ratio new/old B/op or allocs/op may
+// reach before a benchmark counts as regressed.
+const allocTolerance = 1.10
+
+// grew reports whether a measurement grew beyond ratio over its
+// baseline. A side that did not report the measurement (0) never fails.
+func grew(old, new, ratio float64) bool {
+	return old > 0 && new > 0 && new/old > ratio
 }
 
 // benchLine matches a complete benchmark result line in the
@@ -98,7 +113,31 @@ func parse(path string) (map[string]result, error) {
 	if len(results) == 0 {
 		return nil, fmt.Errorf("%s: no benchmark results found", path)
 	}
-	return results, nil
+	return stripProcs(results), nil
+}
+
+// procSuffix matches the -N GOMAXPROCS suffix `go test` appends to
+// every benchmark name when GOMAXPROCS is not 1.
+var procSuffix = regexp.MustCompile(`-[0-9]+$`)
+
+// stripProcs drops the GOMAXPROCS suffix when every name in one run
+// carries the same one, so baselines taken on machines with different
+// core counts still compare benchmark by benchmark. A run at
+// GOMAXPROCS=1 has no suffix, and its names are left alone.
+func stripProcs(results map[string]result) map[string]result {
+	suffix := ""
+	for name := range results {
+		s := procSuffix.FindString(name)
+		if s == "" || s == "-1" || (suffix != "" && s != suffix) {
+			return results
+		}
+		suffix = s
+	}
+	out := make(map[string]result, len(results))
+	for name, r := range results {
+		out[strings.TrimSuffix(name, suffix)] = r
+	}
+	return out
 }
 
 func main() {
@@ -135,8 +174,8 @@ func main() {
 	}
 	sort.Strings(names)
 
-	fmt.Printf("%-52s %14s %14s %8s\n", "Benchmark", "old ns/op", "new ns/op", "delta")
-	fmt.Println(strings.Repeat("-", 92))
+	fmt.Printf("%-52s %14s %14s %8s %8s %8s\n", "Benchmark", "old ns/op", "new ns/op", "ns", "B", "allocs")
+	fmt.Println(strings.Repeat("-", 110))
 	regressed := 0
 	for _, n := range names {
 		o, inOld := oldR[n]
@@ -147,17 +186,37 @@ func main() {
 		case !inNew:
 			fmt.Printf("%-52s %14.0f %14s %8s\n", n, o.NsPerOp, "-", "removed")
 		default:
-			ratio := nw.NsPerOp / o.NsPerOp
+			var why []string
+			if grew(o.NsPerOp, nw.NsPerOp, *threshold) {
+				why = append(why, "ns/op")
+			}
+			if grew(o.BytesPerOp, nw.BytesPerOp, allocTolerance) {
+				why = append(why, "B/op")
+			}
+			if grew(o.AllocsPerOp, nw.AllocsPerOp, allocTolerance) {
+				why = append(why, "allocs/op")
+			}
 			mark := ""
-			if ratio > *threshold {
-				mark = " REGRESSED"
+			if len(why) > 0 {
+				mark = " REGRESSED (" + strings.Join(why, ", ") + ")"
 				regressed++
 			}
-			fmt.Printf("%-52s %14.0f %14.0f %+7.1f%%%s\n", n, o.NsPerOp, nw.NsPerOp, (ratio-1)*100, mark)
+			fmt.Printf("%-52s %14.0f %14.0f %8s %8s %8s%s\n", n, o.NsPerOp, nw.NsPerOp,
+				delta(o.NsPerOp, nw.NsPerOp), delta(o.BytesPerOp, nw.BytesPerOp), delta(o.AllocsPerOp, nw.AllocsPerOp), mark)
 		}
 	}
 	if regressed > 0 {
-		log.Fatalf("%d benchmark(s) regressed beyond %.2fx (%s -> %s)", regressed, *threshold, oldPath, newPath)
+		log.Fatalf("%d benchmark(s) regressed beyond %.2fx ns/op or %.2fx B/op, allocs/op (%s -> %s)",
+			regressed, *threshold, allocTolerance, oldPath, newPath)
 	}
-	fmt.Printf("ok: no benchmark regressed beyond %.2fx\n", *threshold)
+	fmt.Printf("ok: no benchmark regressed beyond %.2fx ns/op or %.2fx B/op, allocs/op\n", *threshold, allocTolerance)
+}
+
+// delta renders the relative change of one measurement, "-" when
+// either side did not report it.
+func delta(old, new float64) string {
+	if old <= 0 || new <= 0 {
+		return "-"
+	}
+	return fmt.Sprintf("%+.1f%%", (new/old-1)*100)
 }

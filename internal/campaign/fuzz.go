@@ -3,6 +3,7 @@ package campaign
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"repro/internal/cpu"
 	"repro/internal/hv"
@@ -135,6 +136,8 @@ func randomInjectionTrial(e *Environment, rng *rand.Rand) (OutcomeClass, error) 
 		for mfn := range d.PageTableFrames() {
 			frames = append(frames, mfn)
 		}
+		// Map order is random; sort so the seed alone picks the frame.
+		slices.Sort(frames)
 		if len(frames) == 0 {
 			return ClassAccepted, nil
 		}

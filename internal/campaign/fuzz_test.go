@@ -3,6 +3,8 @@ package campaign
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"maps"
 	"strings"
 	"testing"
 
@@ -11,22 +13,40 @@ import (
 
 const fuzzTrials = 40
 
+// TestRandomInjectionCampaignIsDeterministic repeats each seeded
+// campaign several times in one process: a trial that drew from Go's
+// randomized map order would disagree with the first run within a
+// handful of repeats. Seed 3 reaches the page-table frame pick, which
+// ranges over a map, on every version.
 func TestRandomInjectionCampaignIsDeterministic(t *testing.T) {
-	a, err := RandomInjectionCampaign(hv.Version48(), fuzzTrials, 7)
-	if err != nil {
-		t.Fatal(err)
+	const repeats = 6
+	type seeded struct {
+		v    hv.Version
+		seed int64
 	}
-	b, err := RandomInjectionCampaign(hv.Version48(), fuzzTrials, 7)
-	if err != nil {
-		t.Fatal(err)
+	cases := []seeded{{hv.Version48(), 7}}
+	for _, v := range hv.Versions() {
+		cases = append(cases, seeded{v, 3})
 	}
-	if a.Total() != fuzzTrials || b.Total() != fuzzTrials {
-		t.Fatalf("totals = %d, %d", a.Total(), b.Total())
-	}
-	for class, n := range a {
-		if b[class] != n {
-			t.Errorf("class %v: %d vs %d across identical seeds", class, n, b[class])
-		}
+	for _, tc := range cases {
+		t.Run(fmt.Sprintf("%s/seed%d", tc.v.Name, tc.seed), func(t *testing.T) {
+			want, err := RandomInjectionCampaign(tc.v, fuzzTrials, tc.seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want.Total() != fuzzTrials {
+				t.Fatalf("total = %d, want %d", want.Total(), fuzzTrials)
+			}
+			for i := 1; i < repeats; i++ {
+				got, err := RandomInjectionCampaign(tc.v, fuzzTrials, tc.seed)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !maps.Equal(got, want) {
+					t.Fatalf("repeat %d: %v, first run %v (same seed)", i, got, want)
+				}
+			}
+		})
 	}
 }
 

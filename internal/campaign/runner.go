@@ -491,22 +491,36 @@ func (r *Runner) runGuarded(ctx context.Context, c cell, worker int, queuedAt ti
 			}
 			return rec.Profile(id, time.Since(start).Nanoseconds())
 		}
+		// outcome completes a cell's outcome from its recorder. The
+		// detection latency reads the profile's event copy when there is
+		// one, so the ring is copied once per cell; only the spans-only
+		// path, which keeps no profile, copies the ring for it.
+		outcome := func(out cellOutcome) cellOutcome {
+			var evs []telemetry.Event
+			if out.profile != nil {
+				evs = out.profile.Events
+			} else {
+				evs = rec.Events()
+			}
+			out.tree, out.latency, out.cov = tree, span.DetectionLatency(tree, evs), rec.Coverage()
+			return out
+		}
 		defer func() {
 			if p := recover(); p != nil {
 				tree.Abort()
-				done <- cellOutcome{err: &CellError{
+				done <- outcome(cellOutcome{err: &CellError{
 					Cell:    id,
 					Class:   FailPanic,
 					Message: fmt.Sprint(p),
 					Stack:   sanitizeStack(debug.Stack()),
-				}, profile: salvage(), tree: tree, latency: span.DetectionLatency(tree, rec.Events()), cov: rec.Coverage()}
+				}, profile: salvage()})
 			}
 		}()
 		res, err := runCellWith(c, r.Telemetry, rec, inj, tree, start, &abandoned)
 		if err != nil {
 			tree.Abort()
-			done <- cellOutcome{err: &CellError{Cell: id, Class: FailError, Message: err.Error(), cause: err},
-				profile: salvage(), tree: tree, latency: span.DetectionLatency(tree, rec.Events()), cov: rec.Coverage()}
+			done <- outcome(cellOutcome{err: &CellError{Cell: id, Class: FailError, Message: err.Error(), cause: err},
+				profile: salvage()})
 			return
 		}
 		tree.Finish()
@@ -515,7 +529,7 @@ func (r *Runner) runGuarded(ctx context.Context, c cell, worker int, queuedAt ti
 			// registry: the ledger persists the profile's effect stream.
 			res.Profile = salvage()
 		}
-		done <- cellOutcome{res: res, profile: res.Profile, tree: tree, latency: span.DetectionLatency(tree, rec.Events()), cov: rec.Coverage()}
+		done <- outcome(cellOutcome{res: res, profile: res.Profile})
 	})
 
 	var watchdog <-chan time.Time

@@ -1,9 +1,9 @@
 package ledger_test
 
 // Unit contract of the run ledger: content-addressed identity,
-// canonical settling, self-verification, journal crash-safety, delta
-// planning, and the regression diff — everything below the campaign
-// integration layer.
+// canonical settling, self-verification, journal truncated-tail
+// recovery, delta planning, and the regression diff — everything below
+// the campaign integration layer.
 
 import (
 	"os"

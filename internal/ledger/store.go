@@ -14,8 +14,14 @@ import (
 //
 //	<dir>/<run-id>/run.json     — Run metadata (wall-time provenance lives here)
 //	<dir>/<run-id>/cells.jsonl  — append-only journal, one Entry per line,
-//	                              completion order, crash-safe
+//	                              completion order
 //	<dir>/<run-id>/record.json  — canonical settled Record, written on close
+//
+// Every journal line is handed to the kernel with one unbuffered write
+// as its cell settles, so the journal survives a killed process (panic,
+// SIGINT, SIGKILL) with every settled cell. It is not fsynced, so an OS
+// crash or power loss can lose lines the kernel had not yet flushed; a
+// truncated final line is skipped on load either way.
 //
 // The journal is the source of truth: Load rebuilds the record from it
 // (last entry per key wins, so a resumed run's re-executions supersede

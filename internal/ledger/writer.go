@@ -20,11 +20,12 @@ import (
 // Writer journals a live campaign into a run record directory. It is
 // the campaign.CellObserver the repro binary attaches under `-ledger`:
 // every settled cell becomes one appended journal line, so the record
-// survives a SIGINT or crash at any point with everything that had
-// settled. Settle order is the runner's deterministic dispatch-order
-// funnel, so the journal itself — not just the settled record — is
-// byte-identical at any worker count (modulo the segregated wall_ns
-// field).
+// survives a killed process (SIGINT, SIGKILL, panic) at any point with
+// everything that had settled. The journal is never fsynced: an OS
+// crash or power loss may lose its unflushed tail. Settle order is the
+// runner's deterministic dispatch-order funnel, so the journal itself —
+// not just the settled record — is byte-identical at any worker count
+// (modulo the segregated wall_ns field).
 //
 // Ledger I/O never fails the campaign: write errors accumulate and
 // surface via Errors / Close, mirroring the flight recorder's

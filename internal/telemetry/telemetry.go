@@ -126,9 +126,10 @@ type Event struct {
 	Detail string
 }
 
-// DefaultRingCapacity bounds a per-environment event ring. A campaign
-// cell emits a few thousand events (boot-time frame validations plus
-// the scenario's hypercall activity); 16 Ki keeps entire cells with
+// DefaultRingCapacity bounds a per-environment event ring. It is a
+// bound, not a preallocation: the ring grows as events arrive and only
+// wraps once it holds this many. A forked campaign cell emits about 320
+// events, so a cell pays for those alone; 16 Ki keeps entire cells with
 // ample headroom while bounding a runaway workload's memory.
 const DefaultRingCapacity = 16384
 
@@ -138,7 +139,10 @@ const DefaultRingCapacity = 16384
 // cell its own Recorder. The nil Recorder is the disabled sink: every
 // method no-ops.
 type Recorder struct {
+	// ring grows by append up to limit events, then wraps in place.
+	// limit, never cap(ring), is the bound: append may overshoot it.
 	ring     []Event
+	limit    uint64
 	emitted  uint64
 	counters map[string]uint64
 
@@ -182,14 +186,15 @@ func (r *Recorder) AttachFaults(f *faults.Injector) {
 	r.flt = f
 }
 
-// NewRecorder creates an enabled recorder with the given ring capacity
-// (DefaultRingCapacity if n <= 0).
+// NewRecorder creates an enabled recorder whose ring retains at most n
+// events (DefaultRingCapacity if n <= 0). The ring starts empty and
+// grows on demand up to that bound.
 func NewRecorder(n int) *Recorder {
 	if n <= 0 {
 		n = DefaultRingCapacity
 	}
 	return &Recorder{
-		ring:     make([]Event, 0, n),
+		limit:    uint64(n),
 		counters: make(map[string]uint64),
 	}
 }
@@ -204,10 +209,10 @@ func (r *Recorder) emit(e Event) {
 		return
 	}
 	e.Seq = r.emitted
-	if len(r.ring) < cap(r.ring) {
+	if uint64(len(r.ring)) < r.limit {
 		r.ring = append(r.ring, e)
 	} else {
-		r.ring[r.emitted%uint64(cap(r.ring))] = e
+		r.ring[r.emitted%r.limit] = e
 	}
 	r.emitted++
 }
@@ -392,8 +397,8 @@ func (r *Recorder) Dropped() uint64 {
 	if r == nil {
 		return 0
 	}
-	if n := uint64(cap(r.ring)); r.emitted > n {
-		return r.emitted - n + r.sinkDropped
+	if r.emitted > r.limit {
+		return r.emitted - r.limit + r.sinkDropped
 	}
 	return r.sinkDropped
 }
@@ -404,9 +409,9 @@ func (r *Recorder) Events() []Event {
 		return nil
 	}
 	out := make([]Event, 0, len(r.ring))
-	if r.emitted > uint64(cap(r.ring)) {
+	if r.emitted > r.limit {
 		// Wrapped: the oldest retained event sits at the write cursor.
-		cur := int(r.emitted % uint64(cap(r.ring)))
+		cur := int(r.emitted % r.limit)
 		out = append(out, r.ring[cur:]...)
 		out = append(out, r.ring[:cur]...)
 		return out

@@ -99,11 +99,16 @@ const (
 	kindVerdictEvidence = "verdict_evidence"
 )
 
+// isEffectKind reports whether events of the named kind belong to the
+// effect stream. It is the one definition of the effect stream: live
+// canonical events and raw recorded events are both filtered by it.
+func isEffectKind(kind string) bool {
+	return kind == kindScenarioStep || kind == kindVerdictEvidence
+}
+
 // isEffect reports whether the canonical event belongs to the effect
 // stream.
-func (e Event) isEffect() bool {
-	return e.Kind == kindScenarioStep || e.Kind == kindVerdictEvidence
-}
+func (e Event) isEffect() bool { return isEffectKind(e.Kind) }
 
 // Canonicalizer folds one run's events into canonical form. It is bound
 // to the run's version profile (for the memory-layout role lookup and

@@ -14,15 +14,24 @@ import (
 
 // CanonicalStreams canonicalizes a profiled cell's recorded events and
 // renders its effect stream and marked state-audit substream as plain
-// strings, the persisted form run-ledger records store.
+// strings, the persisted form run-ledger records store. Only effect
+// events are canonicalized: canonicalizing one event never depends on
+// another, and the state-audit substream is a subset of the effect
+// stream, so selecting first yields the same lines as canonicalizing
+// the whole trace and filtering after.
 func CanonicalStreams(version string, machineFrames uint64, evs []telemetry.Event) (effectLines, auditLines []string) {
-	stream := NewCanonicalizer(version, machineFrames).Events(evs)
-	eff := effects(stream)
+	var raw []telemetry.Event
+	for i := range evs {
+		if isEffectKind(evs[i].Kind.String()) {
+			raw = append(raw, evs[i])
+		}
+	}
+	eff := NewCanonicalizer(version, machineFrames).Events(raw)
 	effectLines = make([]string, 0, len(eff))
 	for _, e := range eff {
 		effectLines = append(effectLines, e.String())
 	}
-	for _, e := range stateAudit(stream) {
+	for _, e := range stateAudit(eff) {
 		auditLines = append(auditLines, e.String())
 	}
 	return effectLines, auditLines
