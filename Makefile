@@ -12,10 +12,10 @@
 # and then drives a seeded full-matrix chaos run through the CLI.
 # `equivalence` runs the RQ2 trace-equivalence engine over the full
 # matrix; any cell whose injection trace diverges from its
-# exploit-induced basis fails the build. `bench` additionally emits
-# BENCH_obs.json (the MatrixTelemetry off/on/server sub-benchmarks) so
-# the -listen overhead is tracked alongside the telemetry overhead, and
-# BENCH_snapshot.json (BootEnvironment vs SnapshotBuild vs CellFork) so
+# exploit-induced basis fails the build. BENCH_matrix.json includes the
+# MatrixTelemetry off/on/server/coverage/stream sub-benchmarks, so the
+# -listen overhead is tracked alongside the telemetry overhead. `bench`
+# additionally emits BENCH_snapshot.json (BootEnvironment vs SnapshotBuild vs CellFork) so
 # the snapshot/COW fork path's per-cell cost is tracked next to the
 # full boot it replaces. `benchdiff` is the CI regression gate: it
 # re-runs the tracked benchmarks and fails if any grew past 2x its
@@ -59,7 +59,6 @@ GO ?= go
 # "Matrix" anywhere in its name — any future BenchmarkFooMatrix would
 # have joined the committed baseline unreviewed.
 MATRIX_BENCHES   = ^BenchmarkFullMatrix$$|^BenchmarkMatrixParallel$$|^BenchmarkMatrixTelemetry$$
-OBS_BENCHES      = ^BenchmarkMatrixTelemetry$$
 SNAPSHOT_BENCHES = ^BenchmarkBootEnvironment$$|^BenchmarkSnapshotBuild$$|^BenchmarkCellFork$$
 
 .PHONY: all build test race vet bench benchdiff check trace-demo chaos equivalence spans lint-scenarios cover-matrix ledger-diff ledger-baseline stream-demo clean
@@ -82,8 +81,6 @@ bench:
 	$(GO) test -run '^$$' -bench '$(MATRIX_BENCHES)' -benchmem -json . > BENCH_matrix.json
 	@grep -o '"Output":"[^"]*ns/op[^"]*' BENCH_matrix.json | sed 's/"Output":"//;s/\\t/  /g;s/\\n//'
 	@echo "wrote BENCH_matrix.json"
-	$(GO) test -run '^$$' -bench '$(OBS_BENCHES)' -benchmem -json . > BENCH_obs.json
-	@echo "wrote BENCH_obs.json"
 	$(GO) test -run '^$$' -bench '$(SNAPSHOT_BENCHES)' -benchmem -json . > BENCH_snapshot.json
 	@grep -o '"Output":"[^"]*ns/op[^"]*' BENCH_snapshot.json | sed 's/"Output":"//;s/\\t/  /g;s/\\n//'
 	@echo "wrote BENCH_snapshot.json"
@@ -115,7 +112,7 @@ equivalence:
 
 spans:
 	$(GO) test ./internal/span/
-	$(GO) test -run 'Span|Latency' ./internal/campaign/ ./internal/tracediff/ ./internal/obs/ ./internal/report/
+	$(GO) test -run 'Span|Latency' ./internal/campaign/ ./internal/obs/ ./internal/report/
 	$(GO) run ./cmd/repro -matrix -workers 4 -spans spans-demo.json > spans-summary.txt
 	@grep -q 'CAUSAL SPAN SUMMARY' spans-summary.txt
 	@grep -q 'critical path: makespan=' spans-summary.txt
@@ -157,10 +154,10 @@ ledger-baseline:
 	cp ledger-ci/*/record.json LEDGER_baseline.json
 	@echo "wrote LEDGER_baseline.json"
 
-check: build vet lint-scenarios test race chaos equivalence spans stream-demo cover-matrix ledger-diff
+check: build vet lint-scenarios test race chaos equivalence trace-demo spans stream-demo cover-matrix ledger-diff
 
 clean:
-	rm -f BENCH_matrix.json BENCH_obs.json BENCH_snapshot.json trace-demo.jsonl flight-*.jsonl spans-demo.json spans-summary.txt
+	rm -f BENCH_matrix.json BENCH_snapshot.json trace-demo.jsonl flight-*.jsonl spans-demo.json spans-summary.txt
 	rm -f BENCH_matrix.new.json BENCH_snapshot.new.json cov-matrix.json cov-diff.txt ledger-diff.txt
 	rm -f sched-demo.json sched-summary.txt
 	rm -rf ledger-ci

@@ -134,24 +134,26 @@ func BenchmarkMatrixParallel(b *testing.B) {
 // (nil registry: every instrumented path takes the predicted-not-taken
 // nil branch), on (per-cell recorder, ring events, counter merges
 // into the shared registry), and on with the live observability server
-// installed as the progress hook and listening (per-cell state updates
-// under the server mutex, plus a goroutine accepting scrapes). The
-// "off" sub-benchmark is the guard for the disabled-sink contract: it
-// must stay within noise of BenchmarkMatrixParallel's pre-telemetry
-// numbers (the same guard covers the event bus — a nil Sched hook is
-// the same predicted-not-taken nil branch); "server" tracks the
-// -listen overhead recorded in BENCH_obs.json; "coverage" tracks the
-// cost of the per-cell coverage maps on top of plain telemetry (the
-// -coverage flag's overhead — with coverage disabled, "on" is the
-// baseline that must not move); "stream" tracks the event-bus +
-// scheduler-timeline overhead (-listen's bus with no subscriber
-// draining it, the common case of a campaign nobody is watching).
+// listening over the scheduler timeline the way -listen installs it
+// (per-cell timeline updates under its mutex, plus a goroutine
+// accepting scrapes). The "off" sub-benchmark is the guard for the
+// disabled-sink contract: it must stay within noise of
+// BenchmarkMatrixParallel's pre-telemetry numbers (the same guard
+// covers the event bus — a nil Sched sink is the same
+// predicted-not-taken nil branch); "server" tracks the -listen
+// overhead; "coverage" tracks the cost of the per-cell coverage maps on
+// top of plain telemetry (the -coverage flag's overhead — with coverage
+// disabled, "on" is the baseline that must not move); "stream" tracks
+// the event-bus + scheduler-timeline overhead through the one Sched
+// fan-out (-listen's bus with no subscriber draining it, the common
+// case of a campaign nobody is watching). `make bench` records all five
+// in BENCH_matrix.json.
 func BenchmarkMatrixTelemetry(b *testing.B) {
 	// withCov gives every campaign a fresh coverage collector, as a real
 	// run has: one shared across iterations accumulates state, making
 	// the per-op cost grow with b.N.
-	run := func(b *testing.B, reg *telemetry.Registry, progress campaign.Progress, withCov bool, sched campaign.SchedObserver) {
-		r := &campaign.Runner{Workers: 4, Telemetry: reg, Progress: progress, Sched: sched}
+	run := func(b *testing.B, reg *telemetry.Registry, withCov bool, sched campaign.SchedObserver) {
+		r := &campaign.Runner{Workers: 4, Telemetry: reg, Sched: sched}
 		for i := 0; i < b.N; i++ {
 			if withCov {
 				r.Coverage = coverage.NewCollector()
@@ -166,25 +168,27 @@ func BenchmarkMatrixTelemetry(b *testing.B) {
 			}
 		}
 	}
-	b.Run("off", func(b *testing.B) { run(b, nil, nil, false, nil) })
-	b.Run("on", func(b *testing.B) { run(b, telemetry.NewRegistry(), nil, false, nil) })
+	b.Run("off", func(b *testing.B) { run(b, nil, false, nil) })
+	b.Run("on", func(b *testing.B) { run(b, telemetry.NewRegistry(), false, nil) })
 	b.Run("server", func(b *testing.B) {
 		reg := telemetry.NewRegistry()
+		tl := events.NewTimeline()
 		srv := obs.NewServer(reg)
+		srv.SetSchedule(tl)
 		if _, err := srv.Listen("127.0.0.1:0"); err != nil {
 			b.Fatal(err)
 		}
 		defer srv.Shutdown(context.Background())
 		b.ResetTimer()
-		run(b, reg, srv, false, nil)
+		run(b, reg, false, tl)
 	})
 	b.Run("coverage", func(b *testing.B) {
-		run(b, telemetry.NewRegistry(), nil, true, nil)
+		run(b, telemetry.NewRegistry(), true, nil)
 	})
 	b.Run("stream", func(b *testing.B) {
 		bus := events.NewBus(0, 0)
 		defer bus.Close()
-		run(b, telemetry.NewRegistry(), nil, false,
+		run(b, telemetry.NewRegistry(), false,
 			events.Fanout{&events.Publisher{Bus: bus}, events.NewTimeline()})
 	})
 }

@@ -347,9 +347,9 @@ func run(out io.Writer) (err error) {
 	runCfg := ledger.CurrentConfig(*chaos, *contOnErr)
 	runID := runCfg.RunID()
 
-	// Structured run logging (-log): slog threads through the runner and
-	// this command with the run identity on every line. Silent (and
-	// free) unless requested.
+	// Structured run logging (-log): slog lines from this command and,
+	// through a Sched sink, from the runner, with the run identity on
+	// every line. Silent (and free) unless requested.
 	var logger *slog.Logger
 	if *logOut != "" {
 		var lvl slog.Level
@@ -370,33 +370,47 @@ func run(out io.Writer) (err error) {
 			lw = f
 		}
 		logger = slog.New(slog.NewJSONHandler(lw, &slog.HandlerOptions{Level: lvl})).With("run_id", runID)
-		runner.Log = logger
 		logger.Info("campaign starting",
 			"version", buildinfo.Version, "workers", *workers,
 			"chaos", *chaos, "continue_on_error", *contOnErr)
 	}
 
-	// The wall-clock observability plane: the scheduler timeline backs
-	// -schedule and /schedule, the event bus backs the SSE /events
-	// stream. Both hang off the runner's Sched hook and observe wall
-	// time only — none of it can reach a deterministic artifact.
+	// The wall-clock observability plane: the event bus backs the SSE
+	// /events stream, the scheduler timeline backs -schedule, /schedule
+	// and /cells, the flight recorder (armed whenever the campaign may
+	// outlive failing cells) dumps each failure's last events the moment
+	// the engine settles it, and -log logs the schedule. All hang off
+	// the runner's Sched sink and observe wall time only — none of it
+	// can reach a deterministic artifact.
 	var (
 		bus       *events.Bus
 		publisher *events.Publisher
 		timeline  *events.Timeline
+		flight    *obs.FlightRecorder
+		sched     events.Fanout
 	)
-	if *scheduleOut != "" || *listenAddr != "" {
-		timeline = events.NewTimeline()
-	}
 	if *listenAddr != "" {
 		bus = events.NewBus(0, 0)
 		publisher = &events.Publisher{Bus: bus}
+		sched = append(sched, publisher)
 	}
-	switch {
-	case publisher != nil && timeline != nil:
-		runner.Sched = events.Fanout{publisher, timeline}
-	case timeline != nil:
-		runner.Sched = timeline
+	if *scheduleOut != "" || *listenAddr != "" {
+		timeline = events.NewTimeline()
+		sched = append(sched, timeline)
+	}
+	if *contOnErr || *chaos != 0 {
+		flight = &obs.FlightRecorder{RunID: runID}
+		sched = append(sched, flight)
+	}
+	poolSize := *workers
+	if poolSize == 0 {
+		poolSize = runtime.GOMAXPROCS(0)
+	}
+	if logger != nil {
+		sched = append(sched, &events.Log{Logger: logger, Workers: poolSize})
+	}
+	if len(sched) > 0 {
+		runner.Sched = sched
 	}
 
 	var (
@@ -425,12 +439,6 @@ func run(out io.Writer) (err error) {
 		ledgerStore, ledgerW = store, w
 	}
 
-	// Live observers: the HTTP server (-listen) and the flight recorder
-	// (armed whenever the campaign is allowed to outlive failing cells,
-	// so their last events land on disk the moment the engine settles
-	// the failure).
-	var observers obs.Multi
-	var flight *obs.FlightRecorder
 	if *listenAddr != "" {
 		server := obs.NewServer(runner.Telemetry)
 		server.SetSpans(runner.Spans)
@@ -454,19 +462,6 @@ func run(out io.Writer) (err error) {
 				err = fmt.Errorf("observability server shutdown: %w", serr)
 			}
 		}()
-		observers = append(observers, server)
-	}
-	if *contOnErr || *chaos != 0 {
-		flight = &obs.FlightRecorder{RunID: runID}
-		runner.SalvageProfiles = true
-		observers = append(observers, flight)
-	}
-	switch len(observers) {
-	case 0:
-	case 1:
-		runner.Progress = observers[0]
-	default:
-		runner.Progress = observers
 	}
 
 	// profiles accumulates every profiled cell in run order for -trace.
@@ -742,10 +737,6 @@ func run(out io.Writer) (err error) {
 			flushErrs = append(flushErrs, werr)
 		} else {
 			log.Printf("wrote span trace to %s (open in ui.perfetto.dev)", *spansOut)
-		}
-		poolSize := *workers
-		if poolSize == 0 {
-			poolSize = runtime.GOMAXPROCS(0)
 		}
 		fmt.Fprintln(out, report.SpanSummary(forest, poolSize))
 	}

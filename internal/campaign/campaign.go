@@ -185,5 +185,5 @@ type RunResult struct {
 // environment, without telemetry or fault injection. Use a Runner with
 // a Telemetry registry to profile cells.
 func Run(v hv.Version, useCase string, mode Mode) (*RunResult, error) {
-	return runCell(cell{version: v, useCase: useCase, mode: mode}, nil, nil)
+	return runCell(cell{version: v, useCase: useCase, mode: mode}, cellProbe{}, nil, nil)
 }

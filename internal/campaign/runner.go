@@ -3,7 +3,6 @@ package campaign
 import (
 	"context"
 	"fmt"
-	"log/slog"
 	"regexp"
 	"runtime"
 	"runtime/debug"
@@ -72,6 +71,12 @@ type Runner struct {
 	// shapes need every cell (RunFig4, RunTable3, SecurityBenchmark)
 	// still run all cells but return the first failure. The default
 	// (false) preserves first-error-in-cell-order semantics exactly.
+	//
+	// A campaign that may outlive failing cells — ContinueOnError or a
+	// Faults plan — gives every cell a recorder, so each error or panic
+	// cell's salvaged profile reaches Sched (the flight recorder).
+	// Successful cells are unaffected: no Profile is attached to their
+	// results, so rendered tables and JSON exports stay byte-identical.
 	ContinueOnError bool
 
 	// CellTimeout is the per-cell watchdog deadline. A cell that blows
@@ -80,58 +85,41 @@ type Runner struct {
 	// negative disables the watchdog.
 	CellTimeout time.Duration
 
-	// Progress, when set, observes the campaign live: batch dispatch
-	// and per-cell start/finish, including each failed cell's telemetry
-	// profile where one could be salvaged. Implementations must be safe
-	// for concurrent use — workers notify in parallel. Nil disables
-	// observation at no cost.
-	Progress Progress
-
-	// SalvageProfiles gives every cell a telemetry recorder even
-	// without a Telemetry registry, solely so a failing cell's event
-	// ring reaches the Progress observer (the flight recorder).
-	// Successful cells are unaffected — no Profile is attached to their
-	// results and nothing is merged anywhere — so rendered tables and
-	// JSON exports stay byte-identical to an unprofiled run.
-	SalvageProfiles bool
-
 	// Spans, when set, captures a causal span tree per cell — cell →
 	// phase → hypercall/mm-op — and assembles the campaign's span
-	// forest. Each cell gets a recorder (as with SalvageProfiles) so the
-	// tree's virtual clock is the cell's event counter; results and
-	// rendered tables stay byte-identical to an uninstrumented run. Nil
-	// disables span capture.
+	// forest. Each cell gets a recorder, whose event counter is the
+	// tree's virtual clock; results and rendered tables stay
+	// byte-identical to an uninstrumented run. Nil disables span capture.
 	Spans *span.Collector
 
 	// Coverage, when set, accumulates a deterministic coverage map per
 	// cell — behaviour edges derived from the telemetry stream — and
 	// aggregates the campaign union with dispatch-order new-edge
-	// attribution. Each cell gets a recorder (as with SalvageProfiles)
-	// to feed its map; results and rendered tables stay byte-identical
-	// to an uninstrumented run. Nil disables coverage.
+	// attribution. Each cell gets a recorder to feed its map; results
+	// and rendered tables stay byte-identical to an uninstrumented run.
+	// Nil disables coverage.
 	Coverage *coverage.Collector
 
-	// Sched, when set, observes the wall-clock schedule: batch queueing
-	// and per-cell dispatch/settle with worker identity, queue wait and
-	// run time. It feeds the live event bus and the scheduler timeline —
-	// pure observation, never deterministic artifacts. Implementations
-	// must be safe for concurrent use. Nil disables it at no cost.
+	// Sched and Observer are the runner's two sinks; every cell settles
+	// into both exactly once, after Spans and Coverage.
+	//
+	// Sched, when set, observes the live wall-clock schedule: batch
+	// queueing and per-cell dispatch/settle with worker identity, queue
+	// wait, run time, failure record and salvaged profile. It feeds the
+	// event bus, the scheduler timeline (and through it /cells), the
+	// flight recorder and the structured log; events.Fanout installs
+	// several. Pure observation, never deterministic artifacts.
+	// Implementations must be safe for concurrent use. Nil disables it
+	// at no cost.
 	Sched SchedObserver
-
-	// Log, when set, receives structured scheduling logs (cell
-	// dispatched/settled/failed with worker and verdict attrs) at Debug
-	// and Warn. Nil (the default) is silent and free.
-	Log *slog.Logger
 
 	// Observer, when set, receives every settled cell's full outcome —
 	// verdict or failure record, coverage map, detection latency, span
 	// length, wall time — exactly once, the persistence hook the run
-	// ledger implements. Unlike Progress it sees the result itself, not
-	// just the telemetry profile. Setting it gives every cell a
-	// recorder, a coverage map and a span tree (as with SalvageProfiles
-	// / Coverage / Spans), which leaves results and rendered tables
-	// byte-identical to an unobserved run. Implementations must be safe
-	// for concurrent use.
+	// ledger implements. Setting it gives every cell a recorder, a
+	// coverage map and a span tree, and keeps each successful cell's
+	// profile on its result; rendered tables stay byte-identical to an
+	// unobserved run. Implementations must be safe for concurrent use.
 	Observer CellObserver
 }
 
@@ -168,24 +156,6 @@ type SchedObserver interface {
 	// observed run time; profile is the cell's telemetry snapshot when
 	// one was salvaged (nil otherwise); cerr is nil on success.
 	CellSettled(cell string, worker int, queueNS, runNS int64, profile *telemetry.CellProfile, cerr *CellError)
-}
-
-// Progress observes a running campaign. The hooks fire on the worker
-// goroutines driving the cells, so implementations must synchronize
-// internally and return quickly.
-type Progress interface {
-	// BatchStarted announces the cells about to be dispatched, in cell
-	// order, before any of them runs.
-	BatchStarted(cells []string)
-	// CellStarted fires when a cell is picked up by a worker.
-	CellStarted(cell string)
-	// CellFinished fires when the engine settles the cell's outcome:
-	// cerr is nil on success; profile is the cell's telemetry snapshot
-	// when the runner profiles cells and the cell's goroutine could be
-	// snapshotted (success, error and panic outcomes — hung and
-	// canceled cells are abandoned with their recorder, so their
-	// profile is nil).
-	CellFinished(cell string, wall time.Duration, profile *telemetry.CellProfile, cerr *CellError)
 }
 
 // DefaultCellTimeout is the watchdog deadline applied when
@@ -328,37 +298,82 @@ func (c cell) String() string {
 	return c.version.Name + "/" + c.useCase + "/" + string(c.mode)
 }
 
-// runCell executes one cell in its own fresh environment. It is the
-// unit of work a pool worker owns; nothing it touches outlives the call
-// or is shared with another cell. A non-nil registry gives the cell its
-// own Recorder and merges the resulting profile; the recorder is
-// single-goroutine by design, matching one-cell-one-worker ownership.
-// A non-nil injector arms the cell's substrate fault plane the same
-// way: one cell, one injector.
-func runCell(c cell, reg *telemetry.Registry, inj *faults.Injector) (*RunResult, error) {
-	var rec *telemetry.Recorder
-	var start time.Time
-	if reg != nil {
-		rec = telemetry.NewRecorder(0)
-		rec.AttachFaults(inj)
-		start = time.Now()
-	}
-	return runCellWith(c, reg, rec, inj, nil, start, nil)
+// instrumentation is what every cell of a batch gets, resolved once
+// from the runner's fields; the zero value instruments nothing.
+type instrumentation struct {
+	// record gives each cell a recorder; coverage feeds it a coverage
+	// map, and spans hangs a span tree off its event counter.
+	record, coverage, spans bool
+	// keep attaches a successful cell's profile to its result. A failed
+	// cell's profile is salvaged whenever the cell has a recorder.
+	keep bool
 }
 
-// runCellWith is runCell with the recorder owned by the caller, so the
-// guarded path can snapshot a salvage profile from a cell that errors
-// or panics mid-run. The recorder (and start, its creation time) must
-// come from the same goroutine that calls this. tree, when non-nil, is
-// the cell's span tree: the lifecycle phases (boot, exploit/inject,
-// assess) open under its root, and the environment is built with the
-// tree installed so hypercall and mm-op spans nest inside them. Error
-// returns leave the failing phase open — the guarded caller's Abort
-// closes and marks it. abandoned, when non-nil, is set by the guarded
-// caller once it stops waiting for this cell (watchdog or cancel); a
-// cell that finishes after that point must not recycle its machine fork
-// — the runner already wrote it off as poisoned.
-func runCellWith(c cell, reg *telemetry.Registry, rec *telemetry.Recorder, inj *faults.Injector, tree *span.Tree, start time.Time, abandoned *atomic.Bool) (*RunResult, error) {
+// instrumentation resolves what each cell needs for the runner's sinks.
+// A failing cell's profile is salvaged whenever the campaign may
+// outlive failing cells, so the Sched sinks (the flight recorder) get
+// it without a knob of their own.
+func (r *Runner) instrumentation() instrumentation {
+	in := instrumentation{
+		coverage: r.Coverage != nil || r.Observer != nil,
+		spans:    r.Spans != nil || r.Observer != nil,
+		keep:     r.Telemetry != nil || r.Observer != nil,
+	}
+	in.record = in.coverage || in.spans || in.keep || r.ContinueOnError || r.Faults != nil
+	return in
+}
+
+// cellProbe is one cell's instrumentation, armed on the goroutine that
+// runs the cell and owned by it.
+type cellProbe struct {
+	id    string
+	rec   *telemetry.Recorder
+	tree  *span.Tree
+	start time.Time
+	keep  bool
+}
+
+// arm instruments one cell. inj arms the recorder's sink faults.
+func (in instrumentation) arm(id string, inj *faults.Injector) cellProbe {
+	p := cellProbe{id: id, keep: in.keep}
+	if in.record {
+		p.rec = telemetry.NewRecorder(0)
+		p.rec.AttachFaults(inj)
+		p.start = time.Now()
+	}
+	if in.coverage {
+		p.rec.AttachCoverage(coverage.NewMap())
+	}
+	if in.spans {
+		p.tree = span.NewTree(id, p.rec.Emitted)
+	}
+	return p
+}
+
+// profile snapshots the cell's recorder, nil when it has none.
+func (p *cellProbe) profile() *telemetry.CellProfile {
+	if p.rec == nil {
+		return nil
+	}
+	return p.rec.Profile(p.id, time.Since(p.start).Nanoseconds())
+}
+
+// runCell executes one cell in its own fresh environment. It is the
+// unit of work a pool worker owns; nothing it touches outlives the call
+// or is shared with another cell. probe instruments the cell (the zero
+// probe runs it bare) and must come from the goroutine that calls this:
+// the recorder is single-goroutine by design, matching
+// one-cell-one-worker ownership. A non-nil injector arms the cell's
+// substrate fault plane the same way: one cell, one injector. With a
+// span tree, the lifecycle phases (boot, exploit/inject, assess) open
+// under its root, and the environment is built with the tree installed
+// so hypercall and mm-op spans nest inside them. Error returns leave
+// the failing phase open — the guarded caller's Abort closes and marks
+// it. abandoned, when non-nil, is set by the guarded caller once it
+// stops waiting for this cell (watchdog or cancel); a cell that
+// finishes after that point must not recycle its machine fork — the
+// runner already wrote it off as poisoned.
+func runCell(c cell, probe cellProbe, inj *faults.Injector, abandoned *atomic.Bool) (*RunResult, error) {
 	p := campaignPlan()
 	scen, ok := p.scenarios[c.useCase]
 	if !ok {
@@ -368,8 +383,9 @@ func runCellWith(c cell, reg *telemetry.Registry, rec *telemetry.Recorder, inj *
 			return nil, err
 		}
 	}
+	tree := probe.tree
 	boot := tree.Phase(span.PhaseBoot)
-	e, recycle, err := cellEnvironment(p, c, rec, inj, tree)
+	e, recycle, err := cellEnvironment(p, c, probe.rec, inj, tree)
 	if err != nil {
 		return nil, err
 	}
@@ -391,9 +407,8 @@ func runCellWith(c cell, reg *telemetry.Registry, rec *telemetry.Recorder, inj *
 	verdict := monitor.Assess(e.HV, e.Guests, outcome)
 	tree.End(as)
 	res := &RunResult{Outcome: outcome, Verdict: verdict}
-	if reg != nil {
-		res.Profile = rec.Profile(c.String(), time.Since(start).Nanoseconds())
-		reg.Record(res.Profile)
+	if probe.keep {
+		res.Profile = probe.profile()
 	}
 	// Only a cleanly completed cell that the runner is still waiting for
 	// returns its machine fork to the snapshot pool; every error path
@@ -409,10 +424,10 @@ func runCellWith(c cell, reg *telemetry.Registry, rec *telemetry.Recorder, inj *
 // cellOutcome pairs one cell's result with its failure record; exactly
 // one of res/err is set. profile carries the cell's telemetry snapshot
 // when one exists — on failure it is the salvage profile the flight
-// recorder dumps. tree and latency carry the cell's span capture when
-// the runner collects spans; sending them over the outcome channel is
-// what hands tree ownership from the cell goroutine back to the worker
-// (an abandoned cell keeps its tree, and the worker records a stub).
+// recorder dumps. tree, latency and cov carry the cell's span capture
+// and coverage map; sending them over the outcome channel is what hands
+// their ownership from the cell goroutine back to the worker (an
+// abandoned cell keeps them, and the worker settles a stub).
 type cellOutcome struct {
 	res     *RunResult
 	err     *CellError
@@ -420,6 +435,11 @@ type cellOutcome struct {
 	tree    *span.Tree
 	latency span.Latency
 	cov     *coverage.Map
+}
+
+// canceled is the failure record of a cell cut short by ctx.
+func canceled(id string, err error) cellOutcome {
+	return cellOutcome{err: &CellError{Cell: id, Class: FailCanceled, Message: err.Error(), cause: err}}
 }
 
 // runGuarded executes one cell behind the engine's fault barriers: a
@@ -430,17 +450,14 @@ type cellOutcome struct {
 // can abandon it; an abandoned body parks on a buffered channel and
 // exits when it eventually finishes (or is released from a wedge), so
 // nothing leaks once the campaign's injectors are released.
-func (r *Runner) runGuarded(ctx context.Context, c cell, worker int, queuedAt time.Time) cellOutcome {
+func (r *Runner) runGuarded(ctx context.Context, in instrumentation, c cell, worker int, queuedAt time.Time) cellOutcome {
 	id := c.String()
 	if err := ctx.Err(); err != nil {
-		return r.settle(id, -1, 0, 0, cellOutcome{err: &CellError{Cell: id, Class: FailCanceled, Message: err.Error(), cause: err}})
+		return r.settle(id, -1, time.Time{}, 0, 0, canceled(id, err))
 	}
 	var inj *faults.Injector
 	if r.Faults != nil {
 		inj = r.Faults.ForCell(id)
-	}
-	if r.Progress != nil {
-		r.Progress.CellStarted(id)
 	}
 	began := time.Now()
 	queueNS := began.Sub(queuedAt).Nanoseconds()
@@ -449,9 +466,6 @@ func (r *Runner) runGuarded(ctx context.Context, c cell, worker int, queuedAt ti
 	}
 	if r.Sched != nil {
 		r.Sched.CellDispatched(id, worker, queueNS)
-	}
-	if r.Log != nil {
-		r.Log.Debug("cell dispatched", "cell", id, "worker", worker, "queue_ns", queueNS)
 	}
 	done := make(chan cellOutcome, 1)
 	// abandoned flips once the worker stops waiting (watchdog, cancel):
@@ -466,70 +480,45 @@ func (r *Runner) runGuarded(ctx context.Context, c cell, worker int, queuedAt ti
 		"scenario", c.useCase,
 		"version", c.version.Name,
 	), func(context.Context) {
-		// The cell's recorder and span tree live on this goroutine so a
-		// panicking or erroring cell can still be snapshotted for the
-		// flight recorder and the span forest. The watchdog/cancel paths
-		// abandon the goroutine, the recorder and the tree with it —
-		// they must never touch them.
-		var rec *telemetry.Recorder
-		var tree *span.Tree
-		var start time.Time
-		if r.Telemetry != nil || r.SalvageProfiles || r.Spans != nil || r.Coverage != nil || r.Observer != nil {
-			rec = telemetry.NewRecorder(0)
-			rec.AttachFaults(inj)
-			start = time.Now()
-		}
-		if r.Coverage != nil || r.Observer != nil {
-			rec.AttachCoverage(coverage.NewMap())
-		}
-		if r.Spans != nil || r.Observer != nil {
-			tree = span.NewTree(id, rec.Emitted)
-		}
-		salvage := func() *telemetry.CellProfile {
-			if rec == nil {
-				return nil
-			}
-			return rec.Profile(id, time.Since(start).Nanoseconds())
-		}
-		// outcome completes a cell's outcome from its recorder. The
+		// The cell's probe lives on this goroutine so a panicking or
+		// erroring cell can still be snapshotted for the flight recorder
+		// and the span forest. The watchdog/cancel paths abandon the
+		// goroutine and the probe with it — they must never touch it.
+		probe := in.arm(id, inj)
+		// finish completes a cell's outcome from its probe. The
 		// detection latency reads the profile's event copy when there is
-		// one, so the ring is copied once per cell; only the spans-only
-		// path, which keeps no profile, copies the ring for it.
-		outcome := func(out cellOutcome) cellOutcome {
+		// one, so the ring is copied once per cell; only a cell that
+		// keeps no profile copies the ring for it.
+		finish := func(out cellOutcome) {
 			var evs []telemetry.Event
 			if out.profile != nil {
 				evs = out.profile.Events
 			} else {
-				evs = rec.Events()
+				evs = probe.rec.Events()
 			}
-			out.tree, out.latency, out.cov = tree, span.DetectionLatency(tree, evs), rec.Coverage()
-			return out
+			out.tree, out.latency, out.cov = probe.tree, span.DetectionLatency(probe.tree, evs), probe.rec.Coverage()
+			done <- out
 		}
 		defer func() {
 			if p := recover(); p != nil {
-				tree.Abort()
-				done <- outcome(cellOutcome{err: &CellError{
+				probe.tree.Abort()
+				finish(cellOutcome{err: &CellError{
 					Cell:    id,
 					Class:   FailPanic,
 					Message: fmt.Sprint(p),
 					Stack:   sanitizeStack(debug.Stack()),
-				}, profile: salvage()})
+				}, profile: probe.profile()})
 			}
 		}()
-		res, err := runCellWith(c, r.Telemetry, rec, inj, tree, start, &abandoned)
+		res, err := runCell(c, probe, inj, &abandoned)
 		if err != nil {
-			tree.Abort()
-			done <- outcome(cellOutcome{err: &CellError{Cell: id, Class: FailError, Message: err.Error(), cause: err},
-				profile: salvage()})
+			probe.tree.Abort()
+			finish(cellOutcome{err: &CellError{Cell: id, Class: FailError, Message: err.Error(), cause: err},
+				profile: probe.profile()})
 			return
 		}
-		tree.Finish()
-		if res.Profile == nil && r.Observer != nil {
-			// An observer receives the full outcome even without a
-			// registry: the ledger persists the profile's effect stream.
-			res.Profile = salvage()
-		}
-		done <- outcome(cellOutcome{res: res, profile: res.Profile})
+		probe.tree.Finish()
+		finish(cellOutcome{res: res, profile: res.Profile})
 	})
 
 	var watchdog <-chan time.Time
@@ -538,51 +527,63 @@ func (r *Runner) runGuarded(ctx context.Context, c cell, worker int, queuedAt ti
 		defer t.Stop()
 		watchdog = t.C
 	}
+	var out cellOutcome
 	select {
-	case out := <-done:
-		return r.settleSpans(id, worker, began, queueNS, time.Since(began), out)
+	case out = <-done:
 	case <-watchdog:
 		abandoned.Store(true)
-		return r.settleSpans(id, worker, began, queueNS, time.Since(began), cellOutcome{err: &CellError{
+		out.err = &CellError{
 			Cell:    id,
 			Class:   FailHang,
 			Message: fmt.Sprintf("cell exceeded the %s watchdog deadline", r.cellTimeout()),
-		}})
+		}
 	case <-ctx.Done():
 		abandoned.Store(true)
-		return r.settleSpans(id, worker, began, queueNS, time.Since(began), cellOutcome{err: &CellError{Cell: id, Class: FailCanceled, Message: ctx.Err().Error(), cause: ctx.Err()}})
+		out = canceled(id, ctx.Err())
 	}
+	return r.settle(id, worker, began, queueNS, time.Since(began), out)
 }
 
-// settle notifies the progress observer of a cell's settled outcome,
-// files its coverage map, and passes it through. Every cell outcome —
-// success, error, panic, hang, cancel, even cells never dispatched —
-// funnels through here, so the coverage collector sees exactly one
-// FinishCell per cell (abandoned cells file a nil map, which settles
-// as empty coverage deterministically).
-func (r *Runner) settle(id string, worker int, queueNS int64, wall time.Duration, out cellOutcome) cellOutcome {
+// settle is the one funnel every cell outcome — success, error, panic,
+// hang, cancel, even cells never dispatched — passes through exactly
+// once. It files the outcome in a fixed order: spans, the telemetry
+// registry, coverage, Observer, Sched. Abandoned cells (hang, cancel
+// while running) carry no tree, map or profile — the racing goroutine
+// keeps them — so the span stub records only worker, wall placement
+// and failure class, and coverage settles a nil map as empty coverage
+// deterministically. Cells never dispatched (worker -1) ran nothing and
+// get no span stub.
+func (r *Runner) settle(id string, worker int, began time.Time, queueNS int64, wall time.Duration, out cellOutcome) cellOutcome {
+	if r.Spans != nil && worker >= 0 {
+		cs := &span.CellSpans{
+			Cell:     id,
+			Worker:   worker,
+			OffsetNS: began.Sub(r.Spans.Epoch()).Nanoseconds(),
+			WallNS:   wall.Nanoseconds(),
+			Latency:  out.latency,
+			Tree:     out.tree,
+		}
+		if out.err != nil {
+			cs.Class = string(out.err.Class)
+		}
+		r.Spans.FinishCell(cs)
+	}
+	// A successful cell's kept profile merges into the registry.
+	if out.res != nil {
+		r.Telemetry.Record(out.res.Profile)
+	}
+	// The RQ3 histogram takes every cell whose span tree found evidence.
+	if r.Telemetry != nil && out.latency.Found && out.latency.Events >= 0 {
+		r.Telemetry.Histogram(telemetry.DetectionLatencyHistogram).Observe(uint64(out.latency.Events))
+	}
 	if r.Coverage != nil {
 		r.Coverage.FinishCell(id, out.cov)
 	}
 	if r.Observer != nil {
 		r.Observer.CellSettled(id, out.res, out.err, out.cov, out.latency, rootSpanV(out.tree), wall)
 	}
-	if r.Progress != nil {
-		r.Progress.CellFinished(id, wall, out.profile, out.err)
-	}
 	if r.Sched != nil {
 		r.Sched.CellSettled(id, worker, queueNS, wall.Nanoseconds(), out.profile, out.err)
-	}
-	if r.Log != nil {
-		if out.err != nil {
-			r.Log.Warn("cell failed", "cell", id, "worker", worker,
-				"wall_ns", wall.Nanoseconds(), "class", string(out.err.Class), "error", out.err.Message)
-		} else {
-			r.Log.Debug("cell settled", "cell", id, "worker", worker,
-				"wall_ns", wall.Nanoseconds(),
-				"err_state", out.res.Verdict.ErroneousState,
-				"sec_viol", out.res.Verdict.SecurityViolation)
-		}
 	}
 	return out
 }
@@ -600,30 +601,25 @@ func rootSpanV(t *span.Tree) uint64 {
 	return spans[0].EndV - spans[0].StartV
 }
 
-// settleSpans is settle for cells that actually started: it also files
-// the cell's span capture with the collector and feeds the RQ3
-// detection-latency histogram. Abandoned cells (hang, cancel while
-// running) carry no tree — the stub records only worker, wall placement
-// and failure class, and the racing goroutine keeps its tree.
-func (r *Runner) settleSpans(id string, worker int, began time.Time, queueNS int64, wall time.Duration, out cellOutcome) cellOutcome {
-	if r.Spans != nil {
-		cs := &span.CellSpans{
-			Cell:     id,
-			Worker:   worker,
-			OffsetNS: began.Sub(r.Spans.Epoch()).Nanoseconds(),
-			WallNS:   wall.Nanoseconds(),
-			Latency:  out.latency,
-			Tree:     out.tree,
-		}
-		if out.err != nil {
-			cs.Class = string(out.err.Class)
-		}
-		r.Spans.FinishCell(cs)
-		if r.Telemetry != nil && out.latency.Found && out.latency.Events >= 0 {
-			r.Telemetry.Histogram(telemetry.DetectionLatencyHistogram).Observe(uint64(out.latency.Events))
-		}
+// announce tells the batch-level sinks — spans, coverage, Sched — the
+// cells about to be dispatched, in cell order, before any of them runs.
+func (r *Runner) announce(cells []cell) {
+	if r.Spans == nil && r.Coverage == nil && r.Sched == nil {
+		return
 	}
-	return r.settle(id, worker, queueNS, wall, out)
+	ids := make([]string, len(cells))
+	for i, c := range cells {
+		ids[i] = c.String()
+	}
+	if r.Spans != nil {
+		r.Spans.StartBatch(ids)
+	}
+	if r.Coverage != nil {
+		r.Coverage.StartBatch(ids)
+	}
+	if r.Sched != nil {
+		r.Sched.BatchQueued(ids)
+	}
 }
 
 // runCellsDetailed executes a batch of cells and returns one outcome
@@ -632,27 +628,8 @@ func (r *Runner) settleSpans(id string, worker int, began time.Time, queueNS int
 // never dispatched are marked FailCanceled without running.
 func (r *Runner) runCellsDetailed(ctx context.Context, cells []cell) []cellOutcome {
 	outs := make([]cellOutcome, len(cells))
-	if r.Progress != nil || r.Spans != nil || r.Coverage != nil || r.Sched != nil || r.Log != nil {
-		ids := make([]string, len(cells))
-		for i, c := range cells {
-			ids[i] = c.String()
-		}
-		if r.Progress != nil {
-			r.Progress.BatchStarted(ids)
-		}
-		if r.Spans != nil {
-			r.Spans.StartBatch(ids)
-		}
-		if r.Coverage != nil {
-			r.Coverage.StartBatch(ids)
-		}
-		if r.Sched != nil {
-			r.Sched.BatchQueued(ids)
-		}
-		if r.Log != nil {
-			r.Log.Info("batch queued", "cells", len(ids), "workers", r.workers())
-		}
-	}
+	in := r.instrumentation()
+	r.announce(cells)
 	// queuedAt anchors every cell's queue-wait measurement: a cell is
 	// runnable from the moment its batch is announced, so its dispatch
 	// latency is pickup time minus this.
@@ -663,7 +640,7 @@ func (r *Runner) runCellsDetailed(ctx context.Context, cells []cell) []cellOutco
 	}
 	if n <= 1 {
 		for i, c := range cells {
-			outs[i] = r.runGuarded(ctx, c, 0, queuedAt)
+			outs[i] = r.runGuarded(ctx, in, c, 0, queuedAt)
 		}
 		return outs
 	}
@@ -674,7 +651,7 @@ func (r *Runner) runCellsDetailed(ctx context.Context, cells []cell) []cellOutco
 		go func(w int) {
 			defer wg.Done()
 			for i := range next {
-				outs[i] = r.runGuarded(ctx, cells[i], w, queuedAt)
+				outs[i] = r.runGuarded(ctx, in, cells[i], w, queuedAt)
 			}
 		}(w)
 	}
@@ -682,11 +659,9 @@ func (r *Runner) runCellsDetailed(ctx context.Context, cells []cell) []cellOutco
 		select {
 		case next <- i:
 		case <-ctx.Done():
-			err := ctx.Err()
 			for j := i; j < len(cells); j++ {
-				outs[j] = r.settle(cells[j].String(), -1, 0, 0, cellOutcome{err: &CellError{
-					Cell: cells[j].String(), Class: FailCanceled, Message: err.Error(), cause: err,
-				}})
+				id := cells[j].String()
+				outs[j] = r.settle(id, -1, time.Time{}, 0, 0, canceled(id, ctx.Err()))
 			}
 			close(next)
 			wg.Wait()
@@ -756,7 +731,7 @@ func (r *Runner) Run(v hv.Version, useCase string, mode Mode) (*RunResult, error
 // RunContext is Run under a context: cancellation classifies the cell
 // as canceled instead of letting it run to completion.
 func (r *Runner) RunContext(ctx context.Context, v hv.Version, useCase string, mode Mode) (*RunResult, error) {
-	out := r.runGuarded(ctx, cell{version: v, useCase: useCase, mode: mode}, 0, time.Now())
+	out := r.runGuarded(ctx, r.instrumentation(), cell{version: v, useCase: useCase, mode: mode}, 0, time.Now())
 	if out.err != nil {
 		if out.err.Class == FailError {
 			return nil, out.err.cause

@@ -33,7 +33,7 @@ func TestCleanForkReturnsToPool(t *testing.T) {
 	if got := s.ms.PoolSize(); got != 0 {
 		t.Fatalf("fresh snapshot pool size %d, want 0", got)
 	}
-	if _, err := runCell(cell{version: v, useCase: "XSA-182-test", mode: ModeExploit}, nil, nil); err != nil {
+	if _, err := runCell(cell{version: v, useCase: "XSA-182-test", mode: ModeExploit}, cellProbe{}, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	if got := s.ms.PoolSize(); got != 1 {
@@ -50,7 +50,7 @@ func TestPanickedForkIsAbandonedNotPooled(t *testing.T) {
 	id := v.Name + "/XSA-182-test/exploit"
 	// Prime the pool with one clean run, so the panicking cell provably
 	// consumes the pooled fork and fails to return it.
-	if _, err := runCell(cell{version: v, useCase: "XSA-182-test", mode: ModeExploit}, nil, nil); err != nil {
+	if _, err := runCell(cell{version: v, useCase: "XSA-182-test", mode: ModeExploit}, cellProbe{}, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	if got := s.ms.PoolSize(); got != 1 {
@@ -68,7 +68,7 @@ func TestPanickedForkIsAbandonedNotPooled(t *testing.T) {
 	}
 	// The snapshot itself is uncorrupted: the next clean run succeeds
 	// and recycles a fresh fork.
-	if _, err := runCell(cell{version: v, useCase: "XSA-182-test", mode: ModeExploit}, nil, nil); err != nil {
+	if _, err := runCell(cell{version: v, useCase: "XSA-182-test", mode: ModeExploit}, cellProbe{}, nil, nil); err != nil {
 		t.Fatalf("clean run after panicked fork: %v", err)
 	}
 	if got := s.ms.PoolSize(); got != 1 {
@@ -98,7 +98,7 @@ func TestWedgedForkIsAbandonedNotPooled(t *testing.T) {
 	if got := s.ms.PoolSize(); got != 0 {
 		t.Errorf("pool size %d after a wedged cell, want 0", got)
 	}
-	if _, err := runCell(cell{version: v, useCase: "XSA-182-test", mode: ModeExploit}, nil, nil); err != nil {
+	if _, err := runCell(cell{version: v, useCase: "XSA-182-test", mode: ModeExploit}, cellProbe{}, nil, nil); err != nil {
 		t.Fatalf("clean run after wedged fork: %v", err)
 	}
 }
@@ -117,7 +117,7 @@ func TestBootWindowAllocFaultBootsFresh(t *testing.T) {
 	}
 	run := func() string {
 		inj := faults.NewInjector().Arm(faults.SiteAlloc, 1)
-		_, err := runCell(cell{version: v, useCase: "XSA-182-test", mode: ModeExploit}, nil, inj)
+		_, err := runCell(cell{version: v, useCase: "XSA-182-test", mode: ModeExploit}, cellProbe{}, inj, nil)
 		if err == nil {
 			t.Fatal("boot-window alloc fault did not fail the cell")
 		}
@@ -151,7 +151,7 @@ func TestPostBootAllocFaultFiresInForkOnly(t *testing.T) {
 	boot := s.ms.BootAllocConsults()
 	inj := faults.NewInjector().Arm(faults.SiteAlloc, boot+1)
 	c := cell{version: v, useCase: "XSA-212-crash", mode: ModeExploit}
-	res, err := runCell(c, nil, inj)
+	res, err := runCell(c, cellProbe{}, inj, nil)
 	if err != nil {
 		t.Fatalf("post-boot fault should land in the outcome, not fail the cell: %v", err)
 	}
@@ -161,7 +161,7 @@ func TestPostBootAllocFaultFiresInForkOnly(t *testing.T) {
 		t.Fatalf("outcome error = %v, want an injected allocation failure", res.Outcome.Err)
 	}
 	// The same cell with no faults reproduces the pristine result.
-	clean, err := runCell(c, nil, nil)
+	clean, err := runCell(c, cellProbe{}, nil, nil)
 	if err != nil {
 		t.Fatalf("clean run after faulted fork: %v", err)
 	}

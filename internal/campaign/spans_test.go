@@ -14,13 +14,16 @@ import (
 	"fmt"
 	"runtime"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/campaign"
+	"repro/internal/coverage"
 	"repro/internal/faults"
 	"repro/internal/report"
 	"repro/internal/span"
+	"repro/internal/telemetry"
 )
 
 // matrixForest runs the full matrix with span collection at the given
@@ -130,6 +133,41 @@ func TestDetectionLatencyGolden(t *testing.T) {
 	}
 	if seen != len(wantTrigger) {
 		t.Errorf("pinned %d injection cells, found %d in the forest", len(wantTrigger), seen)
+	}
+}
+
+// latencyCounter is a CellObserver counting the settled cells whose
+// span tree measured a detection latency.
+type latencyCounter struct{ found atomic.Uint64 }
+
+func (l *latencyCounter) CellSettled(_ string, _ *campaign.RunResult, _ *campaign.CellError, _ *coverage.Map, lat span.Latency, _ uint64, _ time.Duration) {
+	if lat.Found {
+		l.found.Add(1)
+	}
+}
+
+// TestDetectionLatencyHistogramWithoutSpans feeds the RQ3 histogram
+// from every cell that measured a latency, not only under a span
+// collector: the ledger's path (a registry and an Observer, no Spans)
+// must fill it too.
+func TestDetectionLatencyHistogramWithoutSpans(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	lat := &latencyCounter{}
+	if _, err := (&campaign.Runner{Workers: 4, Telemetry: reg, Observer: lat}).RunMatrix(); err != nil {
+		t.Fatal(err)
+	}
+	want := lat.found.Load()
+	if want == 0 {
+		t.Fatal("no cell measured a detection latency")
+	}
+	var got uint64
+	for _, h := range reg.Histograms() {
+		if h.Name == telemetry.DetectionLatencyHistogram {
+			got = h.Count
+		}
+	}
+	if got != want {
+		t.Errorf("detection-latency histogram counted %d cells, %d measured a latency", got, want)
 	}
 }
 

@@ -9,12 +9,14 @@ package campaign_test
 import (
 	"bytes"
 	"context"
-	"io"
 	"log/slog"
+	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/campaign"
+	"repro/internal/events"
 	"repro/internal/faults"
 	"repro/internal/telemetry"
 )
@@ -27,7 +29,8 @@ type recordingSched struct {
 	dispatched map[string]int // cell -> worker
 	settled    map[string]int // cell -> settle count
 	classes    map[string]campaign.FailureClass
-	workers    map[string]int // cell -> worker at settle
+	workers    map[string]int  // cell -> worker at settle
+	profiled   map[string]bool // cell -> settled with a profile
 	badQueueNS int
 }
 
@@ -37,6 +40,7 @@ func newRecordingSched() *recordingSched {
 		settled:    make(map[string]int),
 		classes:    make(map[string]campaign.FailureClass),
 		workers:    make(map[string]int),
+		profiled:   make(map[string]bool),
 	}
 }
 
@@ -60,6 +64,7 @@ func (r *recordingSched) CellSettled(cell string, worker int, queueNS, runNS int
 	defer r.mu.Unlock()
 	r.settled[cell]++
 	r.workers[cell] = worker
+	r.profiled[cell] = profile != nil
 	if cerr != nil {
 		r.classes[cell] = cerr.Class
 	}
@@ -71,7 +76,11 @@ func (r *recordingSched) CellSettled(cell string, worker int, queueNS, runNS int
 // TestSchedObserverExactlyOncePerCell runs the chaos matrix — panics,
 // hangs, forced errors, the lot — and checks the terminal-event
 // contract: one CellSettled per cell, class agreeing with the entry's
-// error record, worker identity consistent with dispatch.
+// error record, worker identity consistent with dispatch. It also pins
+// the derived salvage rule: with no profiling sink installed, a
+// campaign that may outlive failing cells still hands every error or
+// panic cell's profile to Sched, while hung and canceled cells —
+// abandoned with their recorder — settle without one.
 func TestSchedObserverExactlyOncePerCell(t *testing.T) {
 	for _, seed := range []int64{1, 7, 99} {
 		plan := faults.NewPlan(seed, faults.DefaultDensity)
@@ -97,6 +106,10 @@ func TestSchedObserverExactlyOncePerCell(t *testing.T) {
 				if got := rec.classes[id]; got != e.Err.Class {
 					t.Errorf("seed %d: cell %s event class %q, entry class %q", seed, id, got, e.Err.Class)
 				}
+				salvaged := e.Err.Class == campaign.FailError || e.Err.Class == campaign.FailPanic
+				if rec.profiled[id] != salvaged {
+					t.Errorf("seed %d: %s cell %s settled with profile=%v, want %v", seed, e.Err.Class, id, rec.profiled[id], salvaged)
+				}
 			} else if _, failed := rec.classes[id]; failed {
 				t.Errorf("seed %d: cell %s succeeded but its event carried a failure class", seed, id)
 			}
@@ -116,22 +129,78 @@ func TestSchedObserverExactlyOncePerCell(t *testing.T) {
 	}
 }
 
-// TestSchedHooksDoNotPerturbArtifact is the quarantine gate for this
-// PR: wiring the wall-clock observer and the structured logger must
-// not move a single byte of the deterministic matrix artifact.
+// cancelOnHang cancels the campaign once a cell settles as a hang, so
+// a single chaos run ends with every failure class.
+type cancelOnHang struct {
+	*recordingSched
+	cancel context.CancelFunc
+}
+
+func (c cancelOnHang) CellSettled(cell string, worker int, queueNS, runNS int64, profile *telemetry.CellProfile, cerr *campaign.CellError) {
+	c.recordingSched.CellSettled(cell, worker, queueNS, runNS, profile, cerr)
+	if cerr != nil && cerr.Class == campaign.FailHang {
+		c.cancel()
+	}
+}
+
+// TestSchedSalvageRuleAcrossClasses completes the salvage pin with the
+// abandoned classes: a serial seeded chaos matrix plus one wedged cell
+// late in matrix order, which the watchdog gives up on and whose hang
+// then cancels the rest. Error and panic cells settle with their
+// profile; the hung cell and every canceled one settle without.
+func TestSchedSalvageRuleAcrossClasses(t *testing.T) {
+	const wedged = "4.13/EVT-flood-64/exploit"
+	plan := faults.NewPlan(7, faults.DefaultDensity).ArmCell(wedged, faults.SiteWedge, 1)
+	defer plan.ReleaseAll()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	rec := newRecordingSched()
+	r := &campaign.Runner{Workers: 1, ContinueOnError: true, Faults: plan, CellTimeout: 50 * time.Millisecond,
+		Sched: cancelOnHang{rec, cancel}}
+	entries, err := r.RunMatrixContext(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seen := make(map[campaign.FailureClass]int)
+	for _, e := range entries {
+		if e.Err == nil {
+			continue
+		}
+		seen[e.Err.Class]++
+		salvaged := e.Err.Class == campaign.FailError || e.Err.Class == campaign.FailPanic
+		if rec.profiled[e.Err.Cell] != salvaged {
+			t.Errorf("%s cell %s settled with profile=%v, want %v", e.Err.Class, e.Err.Cell, rec.profiled[e.Err.Cell], salvaged)
+		}
+	}
+	for _, class := range []campaign.FailureClass{campaign.FailError, campaign.FailPanic, campaign.FailHang, campaign.FailCanceled} {
+		if seen[class] == 0 {
+			t.Errorf("no %s cell in the run (classes %v); the test does not cover it", class, seen)
+		}
+	}
+}
+
+// TestSchedHooksDoNotPerturbArtifact is the quarantine gate: wiring
+// the wall-clock observer and the structured-log sink must not move a
+// single byte of the deterministic matrix artifact.
 func TestSchedHooksDoNotPerturbArtifact(t *testing.T) {
-	export := func(sched campaign.SchedObserver, log *slog.Logger) []byte {
+	export := func(sched campaign.SchedObserver) []byte {
 		t.Helper()
-		r := &campaign.Runner{Workers: 4, Sched: sched, Log: log}
+		r := &campaign.Runner{Workers: 4, Sched: sched}
 		var buf bytes.Buffer
 		if err := r.ExportMatrixContext(context.Background(), &buf); err != nil {
 			t.Fatal(err)
 		}
 		return buf.Bytes()
 	}
-	ref := export(nil, nil)
-	logger := slog.New(slog.NewJSONHandler(io.Discard, &slog.HandlerOptions{Level: slog.LevelDebug}))
-	if got := export(newRecordingSched(), logger); !bytes.Equal(ref, got) {
+	ref := export(nil)
+	var logs bytes.Buffer
+	logger := slog.New(slog.NewJSONHandler(&logs, &slog.HandlerOptions{Level: slog.LevelDebug}))
+	if got := export(events.Fanout{newRecordingSched(), &events.Log{Logger: logger, Workers: 4}}); !bytes.Equal(ref, got) {
 		t.Fatal("matrix artifact differs with the sched observer and logger installed")
+	}
+	for _, want := range []string{`"msg":"batch queued","cells":102,"workers":4`, `"msg":"cell dispatched"`, `"msg":"cell settled"`} {
+		if !strings.Contains(logs.String(), want) {
+			t.Errorf("log sink wrote no %s line", want)
+		}
 	}
 }

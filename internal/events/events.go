@@ -1,10 +1,12 @@
 // Package events is the campaign's live event stream: a broadcast bus
 // fed by the engine's scheduler hook that fans batch/cell lifecycle
 // events out to bounded per-subscriber buffers, with a retained ring
-// for Last-Event-ID replay. Everything in it is wall-clock-side
-// observability — event IDs, offsets and queue/run times exist only on
-// this bus and on the surfaces that serve it (SSE /events, /schedule,
-// the -schedule export), never in deterministic campaign artifacts.
+// for Last-Event-ID replay, plus the other scheduler-hook sinks: the
+// wall-clock Timeline and the structured Log. Everything in it is
+// wall-clock-side observability — event IDs, offsets and queue/run
+// times exist only here and on the surfaces that serve it (SSE
+// /events, /schedule, /cells, the -schedule export, -log), never in
+// deterministic campaign artifacts.
 //
 // The bus never blocks a publisher: a subscriber whose buffer is full
 // loses the event and the loss is counted, per subscriber and in the

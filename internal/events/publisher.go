@@ -1,6 +1,8 @@
 package events
 
 import (
+	"log/slog"
+
 	"repro/internal/campaign"
 	"repro/internal/telemetry"
 )
@@ -32,17 +34,22 @@ func (p *Publisher) CellDispatched(cell string, worker int, queueNS int64) {
 // message (panicked, hung and canceled cells included).
 func (p *Publisher) CellSettled(cell string, worker int, queueNS, runNS int64, profile *telemetry.CellProfile, cerr *campaign.CellError) {
 	ev := Event{Type: TypeCellFinished, Cell: cell, Worker: worker, QueueNS: queueNS, WallNS: runNS}
-	if profile != nil {
-		// Emitted ≈ retained + overwritten: the ring keeps the newest
-		// events and counts what it evicted.
-		ev.Events = uint64(len(profile.Events)) + profile.DroppedEvents
-		ev.Dropped = profile.DroppedEvents
-	}
+	ev.Events, ev.Dropped = activity(profile)
 	if cerr != nil {
 		ev.Class = string(cerr.Class)
 		ev.Error = cerr.Message
 	}
 	p.Bus.Publish(ev)
+}
+
+// activity is a profiled cell's telemetry activity, zero without a
+// profile. Emitted ≈ retained + overwritten: the ring keeps the newest
+// events and counts what it evicted.
+func activity(p *telemetry.CellProfile) (emitted, dropped uint64) {
+	if p == nil {
+		return 0, 0
+	}
+	return uint64(len(p.Events)) + p.DroppedEvents, p.DroppedEvents
 }
 
 // CampaignDone publishes the stream's terminal event: how many cells
@@ -53,8 +60,8 @@ func (p *Publisher) CampaignDone(cells, failed int) {
 }
 
 // Fanout dispatches every scheduler hook to each observer in order,
-// letting the CLI install the bus publisher and the timeline side by
-// side on the runner's single Sched slot.
+// letting the CLI install the bus publisher, the timeline, the flight
+// recorder and the log side by side on the runner's single Sched slot.
 type Fanout []campaign.SchedObserver
 
 var _ campaign.SchedObserver = (Fanout)(nil)
@@ -78,4 +85,35 @@ func (f Fanout) CellSettled(cell string, worker int, queueNS, runNS int64, profi
 	for _, o := range f {
 		o.CellSettled(cell, worker, queueNS, runNS, profile, cerr)
 	}
+}
+
+// Log adapts the engine's scheduler hook onto structured logging: the
+// batch at Info, each cell's dispatch and settle at Debug, and failed
+// cells at Warn with their class and message.
+type Log struct {
+	Logger *slog.Logger
+	// Workers is the pool size logged with each batch.
+	Workers int
+}
+
+var _ campaign.SchedObserver = (*Log)(nil)
+
+// BatchQueued implements campaign.SchedObserver.
+func (l *Log) BatchQueued(cells []string) {
+	l.Logger.Info("batch queued", "cells", len(cells), "workers", l.Workers)
+}
+
+// CellDispatched implements campaign.SchedObserver.
+func (l *Log) CellDispatched(cell string, worker int, queueNS int64) {
+	l.Logger.Debug("cell dispatched", "cell", cell, "worker", worker, "queue_ns", queueNS)
+}
+
+// CellSettled implements campaign.SchedObserver.
+func (l *Log) CellSettled(cell string, worker int, _, runNS int64, _ *telemetry.CellProfile, cerr *campaign.CellError) {
+	if cerr != nil {
+		l.Logger.Warn("cell failed", "cell", cell, "worker", worker,
+			"wall_ns", runNS, "class", string(cerr.Class), "error", cerr.Message)
+		return
+	}
+	l.Logger.Debug("cell settled", "cell", cell, "worker", worker, "wall_ns", runNS)
 }

@@ -16,29 +16,30 @@ import (
 
 // Timeline is the wall-clock scheduler timeline: it implements
 // campaign.SchedObserver and accumulates, per worker, which cells the
-// worker ran, when, and how long each waited in the queue. It backs
-// the /schedule endpoint, the scheduler gauges on /metrics, and the
-// -schedule Perfetto export. Everything it measures is wall time —
-// two runs of the same campaign produce different timelines, which is
-// exactly why none of it ever reaches a deterministic artifact.
+// worker ran, when, and how long each waited in the queue, plus each
+// cell's live status. It backs the /schedule and /cells endpoints, the
+// scheduler gauges on /metrics, and the -schedule Perfetto export.
+// Everything it measures is wall time — two runs of the same campaign
+// produce different timelines, which is exactly why none of it ever
+// reaches a deterministic artifact.
 type Timeline struct {
 	epoch time.Time
 
-	mu         sync.Mutex
-	total      int // cells announced
-	dispatched int
-	running    map[string]runningCell
-	slots      []Slot
-	failed     int
-	sumQueue   int64
-	sumRun     int64
+	mu       sync.Mutex
+	total    int // cells announced
+	running  map[string]runningCell
+	slots    []Slot
+	failed   int
+	sumQueue int64
+	sumRun   int64
+	cells    []CellState    // every cell seen, in announce order
+	index    map[string]int // cell -> its entry in cells
 }
 
 // runningCell is a dispatched, unsettled cell.
 type runningCell struct {
 	worker  int
 	startNS int64
-	queueNS int64
 }
 
 // Slot is one settled cell's occupancy record: which worker ran it,
@@ -58,31 +59,67 @@ type Slot struct {
 	Class string `json:"class,omitempty"`
 }
 
+// CellStatus is a cell's live lifecycle state.
+type CellStatus string
+
+// Cell lifecycle states.
+const (
+	// StatusPending means the cell is announced but not yet dispatched.
+	StatusPending CellStatus = "pending"
+	// StatusRunning means a worker owns the cell right now.
+	StatusRunning CellStatus = "running"
+	// StatusDone means the cell finished cleanly.
+	StatusDone CellStatus = "done"
+	// StatusError means the cell settled with a failure record.
+	StatusError CellStatus = "error"
+)
+
+// CellState is one cell's live status, the /cells wire format.
+type CellState struct {
+	Cell   string     `json:"cell"`
+	Status CellStatus `json:"status"`
+	// WallNS is the cell's wall time once settled.
+	WallNS int64 `json:"wall_ns,omitempty"`
+	// Class and Error describe the failure for StatusError cells.
+	Class string `json:"class,omitempty"`
+	Error string `json:"error,omitempty"`
+	// Events and Dropped carry the cell's telemetry activity — emitted
+	// event count and ring/sink losses — when the runner profiled it.
+	Events  uint64 `json:"events,omitempty"`
+	Dropped uint64 `json:"dropped,omitempty"`
+}
+
 // NewTimeline creates a timeline with its epoch at the call.
 func NewTimeline() *Timeline {
-	return &Timeline{epoch: time.Now(), running: make(map[string]runningCell)}
+	return &Timeline{epoch: time.Now(), running: make(map[string]runningCell), index: make(map[string]int)}
 }
 
 var _ campaign.SchedObserver = (*Timeline)(nil)
 
-// BatchQueued implements campaign.SchedObserver.
+// BatchQueued implements campaign.SchedObserver: the announced cells
+// join the /cells listing as pending, in cell order.
 func (t *Timeline) BatchQueued(cells []string) {
 	t.mu.Lock()
+	defer t.mu.Unlock()
 	t.total += len(cells)
-	t.mu.Unlock()
+	for _, id := range cells {
+		t.track(id)
+	}
 }
 
 // CellDispatched implements campaign.SchedObserver.
 func (t *Timeline) CellDispatched(cell string, worker int, queueNS int64) {
 	now := time.Since(t.epoch).Nanoseconds()
 	t.mu.Lock()
-	t.dispatched++
-	t.running[cell] = runningCell{worker: worker, startNS: now, queueNS: queueNS}
-	t.mu.Unlock()
+	defer t.mu.Unlock()
+	t.running[cell] = runningCell{worker: worker, startNS: now}
+	t.track(cell).Status = StatusRunning
 }
 
-// CellSettled implements campaign.SchedObserver.
-func (t *Timeline) CellSettled(cell string, worker int, queueNS, runNS int64, _ *telemetry.CellProfile, cerr *campaign.CellError) {
+// CellSettled implements campaign.SchedObserver. The profile, when the
+// runner salvaged one, gives the cell's /cells entry its telemetry
+// activity.
+func (t *Timeline) CellSettled(cell string, worker int, queueNS, runNS int64, profile *telemetry.CellProfile, cerr *campaign.CellError) {
 	now := time.Since(t.epoch).Nanoseconds()
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -91,10 +128,14 @@ func (t *Timeline) CellSettled(cell string, worker int, queueNS, runNS int64, _ 
 		slot.StartNS = rc.startNS
 		delete(t.running, cell)
 	}
+	st := CellState{Cell: cell, Status: StatusDone, WallNS: runNS}
+	st.Events, st.Dropped = activity(profile)
 	if cerr != nil {
 		slot.Class = string(cerr.Class)
 		t.failed++
+		st.Status, st.Class, st.Error = StatusError, slot.Class, cerr.Message
 	}
+	*t.track(cell) = st
 	// A cell settled without a CellDispatched (canceled before any
 	// worker picked it up) still counts toward completion, but never
 	// occupied a worker; it keeps Worker == -1.
@@ -104,6 +145,28 @@ func (t *Timeline) CellSettled(cell string, worker int, queueNS, runNS int64, _ 
 	t.slots = append(t.slots, slot)
 	t.sumQueue += slot.QueueNS
 	t.sumRun += slot.RunNS
+}
+
+// track returns the cell's /cells entry, adding it as pending on first
+// sight (single cells run via Runner.Run are never announced). Callers
+// hold t.mu.
+func (t *Timeline) track(cell string) *CellState {
+	i, ok := t.index[cell]
+	if !ok {
+		i = len(t.cells)
+		t.index[cell] = i
+		t.cells = append(t.cells, CellState{Cell: cell, Status: StatusPending})
+	}
+	return &t.cells[i]
+}
+
+// Cells snapshots every cell's live status in announce order, the
+// /cells listing. A cell announced again by a later batch keeps its one
+// entry.
+func (t *Timeline) Cells() []CellState {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return append([]CellState{}, t.cells...)
 }
 
 // WorkerLane is one worker's occupancy in a Schedule snapshot.

@@ -13,7 +13,6 @@ import (
 	"path/filepath"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"repro/internal/campaign"
 	"repro/internal/faults"
@@ -58,7 +57,7 @@ func runLedgerCampaign(t *testing.T, dir string, workers int, seed int64, interr
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithCancel(ctx)
 		defer cancel()
-		r.Progress = &cancelAfter{n: interruptAfter, cancel: cancel}
+		r.Sched = &cancelAfter{n: interruptAfter, cancel: cancel}
 	}
 
 	_, runErr := r.RunCellRefs(ctx, delta.Rerun)
@@ -94,9 +93,9 @@ type cancelAfter struct {
 	cancel context.CancelFunc
 }
 
-func (c *cancelAfter) BatchStarted([]string) {}
-func (c *cancelAfter) CellStarted(string)    {}
-func (c *cancelAfter) CellFinished(string, time.Duration, *telemetry.CellProfile, *campaign.CellError) {
+func (c *cancelAfter) BatchQueued([]string)              {}
+func (c *cancelAfter) CellDispatched(string, int, int64) {}
+func (c *cancelAfter) CellSettled(string, int, int64, int64, *telemetry.CellProfile, *campaign.CellError) {
 	if c.done.Add(1) == c.n {
 		c.cancel()
 	}

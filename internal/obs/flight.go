@@ -6,7 +6,6 @@ import (
 	"path/filepath"
 	"strings"
 	"sync"
-	"time"
 
 	"repro/internal/campaign"
 	"repro/internal/telemetry"
@@ -17,7 +16,10 @@ import (
 // flight-<runid>-<cell>.jsonl the instant the engine settles the
 // failure, so a chaos campaign's crash evidence survives even if the
 // process never reaches its normal trace flush. It implements
-// campaign.Progress and is safe for concurrent workers.
+// campaign.SchedObserver and is safe for concurrent workers. The runner
+// salvages a failing cell's profile whenever the campaign may outlive
+// failing cells (ContinueOnError or a Faults plan), which is exactly
+// when the CLI arms the recorder.
 //
 // Dumps are created exclusively: a name collision (the same cell
 // failing again in a consecutive run of the same configuration) gets a
@@ -35,17 +37,19 @@ type FlightRecorder struct {
 	errors []error
 }
 
-// BatchStarted implements campaign.Progress (no-op).
-func (f *FlightRecorder) BatchStarted([]string) {}
+var _ campaign.SchedObserver = (*FlightRecorder)(nil)
 
-// CellStarted implements campaign.Progress (no-op).
-func (f *FlightRecorder) CellStarted(string) {}
+// BatchQueued implements campaign.SchedObserver (no-op).
+func (f *FlightRecorder) BatchQueued([]string) {}
 
-// CellFinished implements campaign.Progress: a settled failure with a
-// salvageable profile is dumped immediately. Hung and canceled cells
+// CellDispatched implements campaign.SchedObserver (no-op).
+func (f *FlightRecorder) CellDispatched(string, int, int64) {}
+
+// CellSettled implements campaign.SchedObserver: a settled failure with
+// a salvaged profile is dumped immediately. Hung and canceled cells
 // carry no profile (their goroutine was abandoned with its recorder)
 // and produce no dump.
-func (f *FlightRecorder) CellFinished(cell string, _ time.Duration, profile *telemetry.CellProfile, cerr *campaign.CellError) {
+func (f *FlightRecorder) CellSettled(cell string, _ int, _, _ int64, profile *telemetry.CellProfile, cerr *campaign.CellError) {
 	if cerr == nil || profile == nil {
 		return
 	}
@@ -108,28 +112,4 @@ func (f *FlightRecorder) Errors() []error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	return append([]error(nil), f.errors...)
-}
-
-// Multi fans campaign progress out to several observers in order.
-type Multi []campaign.Progress
-
-// BatchStarted implements campaign.Progress.
-func (m Multi) BatchStarted(cells []string) {
-	for _, p := range m {
-		p.BatchStarted(cells)
-	}
-}
-
-// CellStarted implements campaign.Progress.
-func (m Multi) CellStarted(cell string) {
-	for _, p := range m {
-		p.CellStarted(cell)
-	}
-}
-
-// CellFinished implements campaign.Progress.
-func (m Multi) CellFinished(cell string, wall time.Duration, profile *telemetry.CellProfile, cerr *campaign.CellError) {
-	for _, p := range m {
-		p.CellFinished(cell, wall, profile, cerr)
-	}
 }

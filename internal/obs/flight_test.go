@@ -4,7 +4,6 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
-	"time"
 
 	"repro/internal/campaign"
 	"repro/internal/faults"
@@ -12,8 +11,8 @@ import (
 )
 
 // TestFlightRecorderDumpsFailedCell arms a seeded hypercall panic in
-// one cell, runs the matrix under -continue-on-error semantics with
-// salvage profiling, and checks the flight recorder wrote exactly that
+// one cell, runs the matrix under -continue-on-error semantics — which
+// alone makes the runner salvage failing cells' profiles — and checks the flight recorder wrote exactly that
 // cell's event ring as a parseable JSONL dump.
 func TestFlightRecorderDumpsFailedCell(t *testing.T) {
 	const victim = "4.6/XSA-182-test/exploit"
@@ -22,9 +21,8 @@ func TestFlightRecorderDumpsFailedCell(t *testing.T) {
 	r := &campaign.Runner{
 		Workers:         4,
 		ContinueOnError: true,
-		SalvageProfiles: true,
 		Faults:          faults.NewPlan(0, 0).ArmCell(victim, faults.SiteHypercallPanic, 1),
-		Progress:        fr,
+		Sched:           fr,
 	}
 	if _, err := r.RunMatrix(); err != nil {
 		t.Fatalf("matrix under continue-on-error: %v", err)
@@ -92,7 +90,7 @@ func TestFlightRecorderRunIDNamespacesAndKeepsCollisions(t *testing.T) {
 
 	for run := 0; run < 2; run++ {
 		fr := &FlightRecorder{Dir: dir, RunID: "f21da3650bd2e9ae"}
-		fr.CellFinished(cell, time.Millisecond, profile, cerr)
+		fr.CellSettled(cell, 0, 0, 1e6, profile, cerr)
 		for _, err := range fr.Errors() {
 			t.Errorf("run %d: flight recorder error: %v", run, err)
 		}
@@ -125,8 +123,8 @@ func TestFlightRecorderSkips(t *testing.T) {
 	dir := t.TempDir()
 	fr := &FlightRecorder{Dir: dir}
 	profile := &telemetry.CellProfile{Cell: "4.6/x/exploit"}
-	fr.CellFinished("4.6/x/exploit", time.Millisecond, profile, nil)
-	fr.CellFinished("4.6/x/injection", time.Millisecond, nil,
+	fr.CellSettled("4.6/x/exploit", 0, 0, 1e6, profile, nil)
+	fr.CellSettled("4.6/x/injection", 0, 0, 1e6, nil,
 		&campaign.CellError{Cell: "4.6/x/injection", Class: "hang", Message: "watchdog"})
 	if dumps := fr.Dumps(); len(dumps) != 0 {
 		t.Errorf("unexpected dumps %v", dumps)

@@ -13,6 +13,7 @@ import (
 
 	"repro/internal/buildinfo"
 	"repro/internal/coverage"
+	"repro/internal/events"
 	"repro/internal/telemetry"
 )
 
@@ -33,7 +34,7 @@ func TestRoutesAndContentTypes(t *testing.T) {
 	if status != 200 || !strings.Contains(ctype, "application/json") {
 		t.Errorf("/cells: status %d, content type %q", status, ctype)
 	}
-	var cells []CellState
+	var cells []events.CellState
 	if err := json.Unmarshal([]byte(body), &cells); err != nil {
 		t.Errorf("/cells before first batch is not a JSON list: %v\n%s", err, body)
 	}

@@ -2,9 +2,11 @@
 // exposing a running campaign's metrics registry and per-cell progress
 // (Prometheus text on /metrics, JSON on /cells, liveness on /healthz),
 // plus a flight recorder that dumps a failing cell's bounded event ring
-// to disk the moment the engine settles the failure. Both plug into the
-// campaign engine through the campaign.Progress hook and cost nothing
-// when not installed.
+// to disk the moment the engine settles the failure. The server is no
+// runner sink: it reads the collectors and the events.Timeline the
+// runner feeds, so /cells, /schedule and the scheduler gauges share one
+// wall-clock model. The flight recorder is a campaign.SchedObserver.
+// Neither costs anything when not installed.
 package obs
 
 import (
@@ -17,7 +19,6 @@ import (
 	httppprof "net/http/pprof"
 	"strings"
 	"sync"
-	"time"
 
 	"repro/internal/buildinfo"
 	"repro/internal/campaign"
@@ -28,39 +29,9 @@ import (
 	"repro/internal/telemetry"
 )
 
-// CellStatus is a cell's live lifecycle state.
-type CellStatus string
-
-// Cell lifecycle states.
-const (
-	// StatusPending means the cell is announced but not yet dispatched.
-	StatusPending CellStatus = "pending"
-	// StatusRunning means a worker owns the cell right now.
-	StatusRunning CellStatus = "running"
-	// StatusDone means the cell finished cleanly.
-	StatusDone CellStatus = "done"
-	// StatusError means the cell settled with a failure record.
-	StatusError CellStatus = "error"
-)
-
-// CellState is one cell's live status, the /cells wire format.
-type CellState struct {
-	Cell   string     `json:"cell"`
-	Status CellStatus `json:"status"`
-	// WallNS is the cell's wall time once settled.
-	WallNS int64 `json:"wall_ns,omitempty"`
-	// Class and Error describe the failure for StatusError cells.
-	Class string `json:"class,omitempty"`
-	Error string `json:"error,omitempty"`
-	// Events and Dropped carry the cell's telemetry activity — emitted
-	// event count and ring/sink losses — when the runner profiled it.
-	Events  uint64 `json:"events,omitempty"`
-	Dropped uint64 `json:"dropped,omitempty"`
-}
-
-// Server is the observability HTTP server. It implements
-// campaign.Progress; install it on the Runner and Listen before the
-// campaign starts. All methods are safe for concurrent use.
+// Server is the observability HTTP server. Install its collectors and
+// timeline, then Listen before the campaign starts. All methods are
+// safe for concurrent use.
 type Server struct {
 	reg    *telemetry.Registry
 	spans  *span.Collector
@@ -69,10 +40,6 @@ type Server struct {
 	ledger *ledger.Store
 	bus    *events.Bus
 	sched  *events.Timeline
-
-	mu    sync.Mutex
-	cells map[string]*CellState
-	order []string
 
 	srv  *http.Server
 	ln   net.Listener
@@ -83,7 +50,7 @@ type Server struct {
 // NewServer creates a server over the given registry (nil is allowed:
 // /metrics then exposes no series until cells carry profiles).
 func NewServer(reg *telemetry.Registry) *Server {
-	s := &Server{reg: reg, cells: make(map[string]*CellState), quit: make(chan struct{})}
+	s := &Server{reg: reg, quit: make(chan struct{})}
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", s.handleMetrics)
 	mux.HandleFunc("/healthz", s.handleHealthz)
@@ -155,69 +122,6 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	return s.srv.Shutdown(ctx)
 }
 
-// BatchStarted implements campaign.Progress: the announced cells seed
-// the /cells listing as pending, in cell order.
-func (s *Server) BatchStarted(cells []string) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for _, id := range cells {
-		s.track(id)
-	}
-}
-
-// CellStarted implements campaign.Progress.
-func (s *Server) CellStarted(cell string) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.track(cell).Status = StatusRunning
-}
-
-// CellFinished implements campaign.Progress. The profile, when the
-// runner salvaged one, enriches /cells with the cell's live telemetry
-// activity: how many events it emitted and how many its bounded ring
-// (or streaming sink) lost.
-func (s *Server) CellFinished(cell string, wall time.Duration, profile *telemetry.CellProfile, cerr *campaign.CellError) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	st := s.track(cell)
-	st.WallNS = wall.Nanoseconds()
-	if profile != nil {
-		st.Events = uint64(len(profile.Events)) + profile.DroppedEvents
-		st.Dropped = profile.DroppedEvents
-	}
-	if cerr != nil {
-		st.Status = StatusError
-		st.Class = string(cerr.Class)
-		st.Error = cerr.Message
-		return
-	}
-	st.Status = StatusDone
-}
-
-// track returns the cell's state, creating it as pending on first
-// sight (single cells run via Runner.Run never see a BatchStarted).
-// Callers hold s.mu.
-func (s *Server) track(cell string) *CellState {
-	if st, ok := s.cells[cell]; ok {
-		return st
-	}
-	st := &CellState{Cell: cell, Status: StatusPending}
-	s.cells[cell] = st
-	s.order = append(s.order, cell)
-	return st
-}
-
-// snapshot copies the cell states in announcement order.
-func (s *Server) snapshot() []CellState {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]CellState, 0, len(s.order))
-	for _, id := range s.order {
-		out = append(out, *s.cells[id])
-	}
-	return out
-}
-
 // HealthInfo is the /healthz wire format: liveness plus the build
 // identity, so a scrape can tell which binary is answering.
 type HealthInfo struct {
@@ -254,11 +158,17 @@ func (s *Server) handleCoverage(w http.ResponseWriter, _ *http.Request) {
 	_ = enc.Encode(s.cov.Report())
 }
 
+// handleCells serves the timeline's per-cell status; without a timeline
+// (or before the first batch) the listing is an empty JSON array.
 func (s *Server) handleCells(w http.ResponseWriter, _ *http.Request) {
+	cells := []events.CellState{}
+	if s.sched != nil {
+		cells = s.sched.Cells()
+	}
 	w.Header().Set("Content-Type", "application/json")
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
-	_ = enc.Encode(s.snapshot())
+	_ = enc.Encode(cells)
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {

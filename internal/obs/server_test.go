@@ -7,10 +7,14 @@ import (
 	"io"
 	"net/http"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/campaign"
+	"repro/internal/events"
+	"repro/internal/faults"
+	"repro/internal/hv"
 	"repro/internal/telemetry"
 )
 
@@ -86,13 +90,16 @@ func get(t *testing.T, url string) (int, string, string) {
 	return resp.StatusCode, resp.Header.Get("Content-Type"), string(body)
 }
 
-// TestServerLiveCampaign installs the server as the campaign progress
-// hook, runs the full matrix, and scrapes all three endpoints while and
-// after the run: /cells must converge to every cell done, /metrics must
-// expose the aggregated registry, /healthz must answer throughout.
+// TestServerLiveCampaign serves a campaign's registry and scheduler
+// timeline the way -listen does, runs the full matrix, and scrapes all
+// three endpoints while and after the run: /cells must converge to
+// every cell done, /metrics must expose the aggregated registry,
+// /healthz must answer throughout.
 func TestServerLiveCampaign(t *testing.T) {
 	reg := telemetry.NewRegistry()
+	tl := events.NewTimeline()
 	srv := NewServer(reg)
+	srv.SetSchedule(tl)
 	addr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -100,7 +107,7 @@ func TestServerLiveCampaign(t *testing.T) {
 	defer srv.Shutdown(context.Background())
 	base := "http://" + addr.String()
 
-	r := &campaign.Runner{Workers: 4, Telemetry: reg, Progress: srv}
+	r := &campaign.Runner{Workers: 4, Telemetry: reg, Sched: tl}
 	done := make(chan error, 1)
 	go func() {
 		_, err := r.RunMatrix()
@@ -111,7 +118,7 @@ func TestServerLiveCampaign(t *testing.T) {
 	// matrix is 102 cells; poll with a deadline so a wedged campaign
 	// fails loudly instead of hanging the test.
 	deadline := time.Now().Add(30 * time.Second)
-	var cells []CellState
+	var cells []events.CellState
 	for {
 		status, ctype, body := get(t, base+"/cells")
 		if status != http.StatusOK {
@@ -126,7 +133,7 @@ func TestServerLiveCampaign(t *testing.T) {
 		}
 		settled := 0
 		for _, c := range cells {
-			if c.Status == StatusDone || c.Status == StatusError {
+			if c.Status == events.StatusDone || c.Status == events.StatusError {
 				settled++
 			}
 		}
@@ -147,7 +154,7 @@ func TestServerLiveCampaign(t *testing.T) {
 	}
 
 	for _, c := range cells {
-		if c.Status != StatusDone {
+		if c.Status != events.StatusDone {
 			t.Errorf("cell %s finished %s, want done", c.Cell, c.Status)
 		}
 		if c.WallNS <= 0 {
@@ -173,22 +180,95 @@ func TestServerLiveCampaign(t *testing.T) {
 	}
 }
 
-// TestServerErrorCell routes a settled failure through the progress
-// hook and checks /cells carries its class and message.
-func TestServerErrorCell(t *testing.T) {
-	srv := NewServer(nil)
-	srv.BatchStarted([]string{"4.6/x/exploit"})
-	srv.CellStarted("4.6/x/exploit")
-	srv.CellFinished("4.6/x/exploit", 5*time.Millisecond, nil,
-		&campaign.CellError{Cell: "4.6/x/exploit", Class: "panic", Message: "injected"})
+// profileSink is a SchedObserver keeping each cell's last settled
+// profile, the ground truth for /cells' telemetry activity.
+type profileSink struct {
+	mu       sync.Mutex
+	profiles map[string]*telemetry.CellProfile
+}
 
-	cells := srv.snapshot()
-	if len(cells) != 1 {
-		t.Fatalf("got %d cells, want 1", len(cells))
+func (p *profileSink) BatchQueued([]string)              {}
+func (p *profileSink) CellDispatched(string, int, int64) {}
+func (p *profileSink) CellSettled(cell string, _ int, _, _ int64, profile *telemetry.CellProfile, _ *campaign.CellError) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.profiles[cell] = profile
+}
+
+// TestCellsServedFromTimeline checks /cells against the campaign it
+// observed: a profiled seeded chaos matrix under -continue-on-error
+// semantics, its timeline served the way -listen does. /cells lists
+// each cell once, in announce order, with failed cells' class and
+// message and every profiled cell's telemetry activity. A later
+// Runner.Run cell, never announced, still joins a timeline's listing.
+func TestCellsServedFromTimeline(t *testing.T) {
+	tl := events.NewTimeline()
+	srv := NewServer(nil)
+	srv.SetSchedule(tl)
+	addr, err := srv.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
 	}
-	c := cells[0]
-	if c.Status != StatusError || c.Class != "panic" || c.Error != "injected" {
-		t.Errorf("error cell state = %+v", c)
+	defer srv.Shutdown(context.Background())
+
+	plan := faults.NewPlan(7, faults.DefaultDensity)
+	defer plan.ReleaseAll()
+	sink := &profileSink{profiles: make(map[string]*telemetry.CellProfile)}
+	r := &campaign.Runner{Workers: 4, ContinueOnError: true, Faults: plan, Telemetry: telemetry.NewRegistry(),
+		Sched: events.Fanout{tl, sink}}
+	entries, err := r.RunMatrix()
+	if err != nil {
+		t.Fatal(err)
+	}
+	status, _, body := get(t, "http://"+addr.String()+"/cells")
+	if status != http.StatusOK {
+		t.Fatalf("/cells status %d", status)
+	}
+	var cells []events.CellState
+	if err := json.Unmarshal([]byte(body), &cells); err != nil {
+		t.Fatalf("/cells is not JSON: %v", err)
+	}
+	if len(cells) != len(entries) {
+		t.Fatalf("/cells lists %d cells, the matrix has %d", len(cells), len(entries))
+	}
+	failed, profiled, dropped := 0, 0, uint64(0)
+	for i, e := range entries {
+		c := cells[i]
+		id := e.Version + "/" + e.UseCase + "/" + string(e.Mode)
+		if c.Cell != id {
+			t.Fatalf("/cells[%d] = %s, announce order has %s", i, c.Cell, id)
+		}
+		if e.Err != nil {
+			failed++
+			if c.Status != events.StatusError || c.Class != string(e.Err.Class) || c.Error != e.Err.Message {
+				t.Errorf("%s: /cells %+v, failure record %v", id, c, e.Err)
+			}
+		} else if c.Status != events.StatusDone || c.Class != "" || c.Error != "" {
+			t.Errorf("%s: /cells %+v for a clean cell", id, c)
+		}
+		if c.WallNS <= 0 {
+			t.Errorf("%s: no wall time", id)
+		}
+		if p := sink.profiles[id]; p != nil {
+			profiled++
+			if c.Events != uint64(len(p.Events))+p.DroppedEvents || c.Dropped != p.DroppedEvents {
+				t.Errorf("%s: /cells lists %d events, %d dropped; its profile has %d retained, %d dropped",
+					id, c.Events, c.Dropped, len(p.Events), p.DroppedEvents)
+			}
+			dropped += c.Dropped
+		}
+	}
+	if failed == 0 || profiled == 0 || dropped == 0 {
+		t.Errorf("chaos seed 7 gave %d failed cells, %d profiled, %d dropped events; the test misses a case",
+			failed, profiled, dropped)
+	}
+
+	solo := events.NewTimeline()
+	if _, err := (&campaign.Runner{Sched: solo}).Run(hv.Version46(), "XSA-148-priv", campaign.ModeInjection); err != nil {
+		t.Fatal(err)
+	}
+	if got := solo.Cells(); len(got) != 1 || got[0].Cell != "4.6/XSA-148-priv/injection" || got[0].Status != events.StatusDone {
+		t.Errorf("unannounced Runner.Run cell listed as %+v", got)
 	}
 }
 

@@ -2,7 +2,6 @@ package span
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 	"sync"
 	"time"
@@ -262,46 +261,6 @@ func AnalyzeCriticalPath(b *Batch, workers int) CriticalPath {
 		cp.Efficiency = float64(cp.TotalV) / (float64(workers) * float64(cp.MakespanV))
 	}
 	return cp
-}
-
-// ObservedCriticalPath reconstructs the wall-time critical chain of a
-// batch from the workers cells actually ran on: the worker whose cells
-// accumulated the most wall time, with its chain in settle order. Wall
-// times are not deterministic; this is live-diagnosis output, never
-// golden-pinned.
-func ObservedCriticalPath(b *Batch) (worker int, wallNS int64, chain []string) {
-	type wk struct {
-		wall  int64
-		cells []*CellSpans
-	}
-	byWorker := make(map[int]*wk)
-	for _, cs := range b.Cells {
-		if cs == nil {
-			continue
-		}
-		w := byWorker[cs.Worker]
-		if w == nil {
-			w = &wk{}
-			byWorker[cs.Worker] = w
-		}
-		w.wall += cs.WallNS
-		w.cells = append(w.cells, cs)
-	}
-	worker = -1
-	for id, w := range byWorker {
-		if w.wall > wallNS || (w.wall == wallNS && (worker < 0 || id < worker)) {
-			worker, wallNS = id, w.wall
-		}
-	}
-	if worker < 0 {
-		return -1, 0, nil
-	}
-	cells := byWorker[worker].cells
-	sort.SliceStable(cells, func(i, j int) bool { return cells[i].OffsetNS < cells[j].OffsetNS })
-	for _, cs := range cells {
-		chain = append(chain, cs.Cell)
-	}
-	return worker, wallNS, chain
 }
 
 // Canonical renders the forest's deterministic structure: batch and

@@ -306,30 +306,6 @@ func TestAnalyzeCriticalPath(t *testing.T) {
 	}
 }
 
-func TestObservedCriticalPath(t *testing.T) {
-	mk := func(id string, worker int, off, wall int64) *span.CellSpans {
-		cs := finishedCell(id, worker, 1)
-		cs.OffsetNS, cs.WallNS = off, wall
-		return cs
-	}
-	b := &span.Batch{Name: "batch01", Cells: []*span.CellSpans{
-		mk("a", 0, 0, 100),
-		mk("b", 1, 10, 300),
-		mk("c", 1, 5, 50),
-		nil, // unsettled slot
-	}}
-	worker, wall, chain := span.ObservedCriticalPath(b)
-	if worker != 1 || wall != 350 {
-		t.Errorf("observed worker=%d wall=%d, want 1/350", worker, wall)
-	}
-	if strings.Join(chain, ",") != "c,b" {
-		t.Errorf("observed chain = %v, want offset order c,b", chain)
-	}
-	if w, _, _ := span.ObservedCriticalPath(&span.Batch{}); w != -1 {
-		t.Errorf("empty batch observed worker = %d, want -1", w)
-	}
-}
-
 // Canonical output excludes wall times and worker placement, so two
 // forests with identical virtual structure render byte-identically.
 func TestCanonicalExcludesWallAndWorker(t *testing.T) {
