@@ -50,6 +50,11 @@
 # (sched-demo.json, Perfetto-loadable) and its occupancy summary, which
 # `tracecheck sched` re-validates lane by lane. Both artifacts are left
 # behind for CI to attach on failure.
+# `fuzz-smoke` runs each native fuzz target for a bounded 10s. Each
+# target checks a hand-written text kernel against the implementation
+# it replaced (regexp masking, json.Indent, fmt rendering); a failing
+# input lands under the package's testdata/fuzz, where plain `go test`
+# replays it from then on.
 
 GO ?= go
 
@@ -58,10 +63,10 @@ GO ?= go
 # bare `-bench Matrix` substring silently swept in every benchmark with
 # "Matrix" anywhere in its name — any future BenchmarkFooMatrix would
 # have joined the committed baseline unreviewed.
-MATRIX_BENCHES   = ^BenchmarkFullMatrix$$|^BenchmarkMatrixParallel$$|^BenchmarkMatrixTelemetry$$
+MATRIX_BENCHES   = ^BenchmarkFullMatrix$$|^BenchmarkMatrixParallel$$|^BenchmarkMatrixTelemetry$$|^BenchmarkLedgerSettle$$
 SNAPSHOT_BENCHES = ^BenchmarkBootEnvironment$$|^BenchmarkSnapshotBuild$$|^BenchmarkCellFork$$
 
-.PHONY: all build test race vet bench benchdiff check trace-demo chaos equivalence spans lint-scenarios cover-matrix ledger-diff ledger-baseline stream-demo clean
+.PHONY: all build test race vet bench benchdiff check trace-demo chaos equivalence spans lint-scenarios cover-matrix ledger-diff ledger-baseline stream-demo fuzz-smoke clean
 
 all: check
 
@@ -147,6 +152,11 @@ stream-demo:
 	@grep -q 'utilization:' sched-summary.txt
 	@grep -q 'wall critical path:' sched-summary.txt
 	$(GO) run ./cmd/tracecheck sched sched-demo.json
+
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz '^FuzzNormalizeText$$' -fuzztime 10s ./internal/tracediff/
+	$(GO) test -run '^$$' -fuzz '^FuzzEntryCanonical$$' -fuzztime 10s ./internal/ledger/
+	$(GO) test -run '^$$' -fuzz '^FuzzIndentJSON$$' -fuzztime 10s ./internal/ledger/
 
 ledger-baseline:
 	rm -rf ledger-ci

@@ -7,6 +7,7 @@ package repro
 import (
 	"context"
 	"fmt"
+	"path/filepath"
 	"testing"
 
 	"repro/internal/campaign"
@@ -18,6 +19,7 @@ import (
 	"repro/internal/fieldstudy"
 	"repro/internal/hv"
 	"repro/internal/inject"
+	"repro/internal/ledger"
 	"repro/internal/mm"
 	"repro/internal/obs"
 	"repro/internal/pagetable"
@@ -190,6 +192,44 @@ func BenchmarkMatrixTelemetry(b *testing.B) {
 		defer bus.Close()
 		run(b, telemetry.NewRegistry(), false,
 			events.Fanout{&events.Publisher{Bus: bus}, events.NewTimeline()})
+	})
+}
+
+// BenchmarkLedgerSettle measures the serial tail of a ledger run over
+// the committed LEDGER_baseline.json (102 cells): settle the entries
+// into a canonical record, write record.json, load and verify it back,
+// and diff it against the baseline, as `make ledger-diff` does.
+func BenchmarkLedgerSettle(b *testing.B) {
+	base, err := ledger.LoadRecordFile("LEDGER_baseline.json")
+	if err != nil {
+		b.Fatal(err)
+	}
+	run := &ledger.Run{RunID: base.RunID, Config: base.Config, Cells: base.Cells}
+	path := filepath.Join(b.TempDir(), "record.json")
+	b.Run("settle", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			_ = ledger.Settle(run, base.Entries)
+		}
+	})
+	b.Run("write", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if err := ledger.WriteRecordFile(path, base); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("load", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if _, err := ledger.LoadRecordFile(path); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("diff", func(b *testing.B) {
+		rec := ledger.Settle(run, base.Entries)
+		for i := 0; i < b.N; i++ {
+			_ = ledger.Diff(base, rec)
+		}
 	})
 }
 

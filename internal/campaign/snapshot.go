@@ -5,6 +5,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"repro/internal/coverage"
 	"repro/internal/faults"
 	"repro/internal/guest"
 	"repro/internal/hv"
@@ -22,9 +23,11 @@ import (
 // "fresh, identical environment per cell" guarantee is preserved two
 // ways: structurally, because every mutable structure clones before its
 // first write (mm COW chunks, P2M maps, page-table maps, clip-shared
-// logs); and observably, because the sealed machine's boot journal is
-// replayed into each cell's telemetry recorder, fault injector and span
-// tree, reproducing the exact event sequence a fresh boot would emit.
+// logs); and observably, because the sealed machine's boot journal
+// feeds each cell's telemetry recorder, fault injector and span tree,
+// reproducing the exact event sequence a fresh boot would emit. A cell
+// with no fault plane gets the journal's output in bulk from a stamp
+// built once per snapshot; a cell with one replays it op by op.
 //
 // A cell whose armed fault plane would fire inside the boot (SiteAlloc
 // within the boot's consult budget) cannot fork — the fault belongs
@@ -59,6 +62,7 @@ type envSnapshot struct {
 	mode   Mode
 	ms     *mm.Snapshot
 	hs     *hv.Snapshot
+	fc     coverage.FrameClassifier
 	net    *vnet.Network
 	guests []*guest.Kernel
 	err    error
@@ -100,14 +104,15 @@ func (s *envSnapshot) build(p *plan, v hv.Version, mode Mode) {
 	}
 	s.ms = mem.Seal()
 	s.hs = e.HV.Seal()
+	s.fc = s.hs.FrameClassifier()
 	s.net = e.Net
 	s.guests = e.Guests
 }
 
 // forkEnvironment stamps out one cell's environment from the sealed
-// state: fork the machine, attach the cell's sinks, replay the boot
-// journal into them, fork the hypervisor onto the machine, and rebind
-// network and kernels. The returned recycle func returns the machine
+// state: fork the machine, attach the cell's sinks, deliver the boot
+// journal's output into them, fork the hypervisor onto the machine,
+// and rebind network and kernels. The returned recycle func returns the machine
 // fork to the snapshot's pool; call it only when the cell completed
 // cleanly — a poisoned fork must be abandoned to the collector.
 func (s *envSnapshot) forkEnvironment(tel *telemetry.Recorder, flt *faults.Injector, tree *span.Tree) (*Environment, func(), error) {
@@ -122,12 +127,12 @@ func (s *envSnapshot) forkEnvironment(tel *telemetry.Recorder, flt *faults.Injec
 		fm.AttachSpans(tree)
 	}
 	// A coverage map riding on the cell's recorder needs the region
-	// classifier installed before the boot journal replays, so the
-	// replayed page-type events classify exactly as a fresh boot's.
+	// classifier installed before the boot journal's output arrives, so
+	// its page-type events classify exactly as a fresh boot's.
 	if cov := tel.Coverage(); cov != nil {
-		cov.SetFrameClassifier(s.hs.FrameClassifier())
+		cov.SetFrameClassifier(s.fc)
 	}
-	s.ms.Replay(tel, flt, tree)
+	s.ms.Apply(tel, flt, tree, s.fc)
 
 	fh := s.hs.Fork(fm, tel, flt, tree)
 	if s.mode == ModeInjection {

@@ -1,9 +1,10 @@
 package coverage
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
-	"strings"
+	"slices"
+	"strconv"
 	"sync"
 )
 
@@ -129,12 +130,12 @@ func (c *Collector) Report() *Report {
 	c.mu.Unlock()
 
 	rep := &Report{}
-	union := make(map[string]*UnionEdge)
+	union := make(map[edgeKey]*UnionEdge)
 	for _, s := range cells {
 		edges := s.m.Edges()
 		cc := CellCoverage{Cell: s.id, Edges: edges, Digest: DigestOf(edges)}
 		for _, e := range edges {
-			key := string(e.Family) + "/" + e.Name
+			key := edgeKey{e.Family, e.Name}
 			u, ok := union[key]
 			if !ok {
 				u = &UnionEdge{Family: e.Family, Name: e.Name, FirstCell: s.id}
@@ -150,11 +151,8 @@ func (c *Collector) Report() *Report {
 	for _, u := range union {
 		rep.Union = append(rep.Union, *u)
 	}
-	sort.Slice(rep.Union, func(i, j int) bool {
-		if rep.Union[i].Family != rep.Union[j].Family {
-			return rep.Union[i].Family < rep.Union[j].Family
-		}
-		return rep.Union[i].Name < rep.Union[j].Name
+	slices.SortFunc(rep.Union, func(a, b UnionEdge) int {
+		return edgeKey{a.Family, a.Name}.compare(edgeKey{b.Family, b.Name})
 	})
 	rep.TotalEdges = len(rep.Union)
 	famCount := make(map[Family]int)
@@ -174,19 +172,30 @@ func (c *Collector) Report() *Report {
 // header lines in dispatch order followed by the attributed union.
 // Everything the digest covers is here; nothing here depends on wall
 // time, completion order or worker count.
-func (r *Report) Canonical() string {
-	var b strings.Builder
+func (r *Report) Canonical() string { return string(r.appendCanonical(nil)) }
+
+func (r *Report) appendCanonical(b []byte) []byte {
 	for _, c := range r.Cells {
-		fmt.Fprintf(&b, "cell %s edges=%d new=%d digest=%s\n", c.Cell, len(c.Edges), c.NewEdges, c.Digest)
+		b = append(append(b, "cell "...), c.Cell...)
+		b = strconv.AppendInt(append(b, " edges="...), int64(len(c.Edges)), 10)
+		b = strconv.AppendInt(append(b, " new="...), int64(c.NewEdges), 10)
+		b = append(append(append(b, " digest="...), c.Digest...), '\n')
 	}
 	for _, u := range r.Union {
-		fmt.Fprintf(&b, "%s/%s x%d cells=%d first=%s\n", u.Family, u.Name, u.Count, u.Cells, u.FirstCell)
+		b = append(append(append(b, u.Family...), '/'), u.Name...)
+		b = strconv.AppendUint(append(b, " x"...), u.Count, 10)
+		b = strconv.AppendInt(append(b, " cells="...), int64(u.Cells), 10)
+		b = append(append(append(b, " first="...), u.FirstCell...), '\n')
 	}
-	return b.String()
+	return b
 }
 
 func (r *Report) computeDigest() string {
-	return fmt.Sprintf("%016x", fnvString(fnvOffset, r.Canonical()))
+	h := fnvOffset
+	for _, c := range r.appendCanonical(nil) {
+		h = fnvByte(h, c)
+	}
+	return hex16(h)
 }
 
 // Verify recomputes each cell digest and the report digest from the
@@ -218,23 +227,37 @@ func (r *Report) CellByID(id string) (CellCoverage, bool) {
 // a's, for lost) first-witness cell so a diff names where the edge
 // came from.
 func Diff(a, b *Report) (newEdges, lostEdges []UnionEdge) {
-	inA := make(map[string]bool, len(a.Union))
+	inA := make(map[edgeKey]bool, len(a.Union))
 	for _, u := range a.Union {
-		inA[string(u.Family)+"/"+u.Name] = true
+		inA[edgeKey{u.Family, u.Name}] = true
 	}
-	inB := make(map[string]bool, len(b.Union))
+	inB := make(map[edgeKey]bool, len(b.Union))
 	for _, u := range b.Union {
-		inB[string(u.Family)+"/"+u.Name] = true
+		inB[edgeKey{u.Family, u.Name}] = true
 	}
 	for _, u := range b.Union {
-		if !inA[string(u.Family)+"/"+u.Name] {
+		if !inA[edgeKey{u.Family, u.Name}] {
 			newEdges = append(newEdges, u)
 		}
 	}
 	for _, u := range a.Union {
-		if !inB[string(u.Family)+"/"+u.Name] {
+		if !inB[edgeKey{u.Family, u.Name}] {
 			lostEdges = append(lostEdges, u)
 		}
 	}
 	return newEdges, lostEdges
+}
+
+// edgeKey identifies an edge across maps: its family and name.
+type edgeKey struct {
+	family Family
+	name   string
+}
+
+// compare orders edges canonically: by family, then by name.
+func (k edgeKey) compare(o edgeKey) int {
+	if c := cmp.Compare(k.family, o.family); c != 0 {
+		return c
+	}
+	return cmp.Compare(k.name, o.name)
 }

@@ -19,9 +19,9 @@
 package coverage
 
 import (
-	"fmt"
 	"regexp"
-	"sort"
+	"slices"
+	"strconv"
 	"strings"
 )
 
@@ -194,7 +194,7 @@ func (m *Map) ValidationReject(level int, reason string) {
 	h := fnvUint(seed(FamValidation), uint64(level))
 	h = fnvByte(h, ':')
 	h = fnvString(h, masked)
-	m.bump(h, FamValidation, fmt.Sprintf("L%d", level), masked, "")
+	m.bump(h, FamValidation, "L"+strconv.Itoa(level), masked, "")
 }
 
 // WalkDenied records a masked walk-denial reason edge.
@@ -265,6 +265,28 @@ func FromEdges(edges []Edge) *Map {
 	return m
 }
 
+// Merge adds o's edges to m, as if o's hook calls had been made on m:
+// counts add up, and an edge new to m keeps o's name.
+func (m *Map) Merge(o *Map) {
+	if m == nil || o == nil {
+		return
+	}
+	var fresh []edge
+	for h, e := range o.edges {
+		if x, ok := m.edges[h]; ok {
+			x.count += e.count
+			continue
+		}
+		if fresh == nil {
+			// One backing array for every new edge; its capacity bounds
+			// the appends, so the pointers stay valid.
+			fresh = make([]edge, 0, len(o.edges))
+		}
+		fresh = append(fresh, *e)
+		m.edges[h] = &fresh[len(fresh)-1]
+	}
+}
+
 // Len reports the number of distinct edges observed.
 func (m *Map) Len() int {
 	if m == nil {
@@ -289,11 +311,8 @@ func (m *Map) Edges() []Edge {
 
 // SortEdges sorts edges into canonical (family, name) order.
 func SortEdges(edges []Edge) {
-	sort.Slice(edges, func(i, j int) bool {
-		if edges[i].Family != edges[j].Family {
-			return edges[i].Family < edges[j].Family
-		}
-		return edges[i].Name < edges[j].Name
+	slices.SortFunc(edges, func(a, b Edge) int {
+		return edgeKey{a.Family, a.Name}.compare(edgeKey{b.Family, b.Name})
 	})
 }
 
@@ -301,22 +320,34 @@ func SortEdges(edges []Edge) {
 // one "family/name xCount" line per edge, no wall times, no ordering
 // dependence on observation order.
 func Canonical(edges []Edge) string {
-	var b strings.Builder
+	var b []byte
 	for _, e := range edges {
-		b.WriteString(string(e.Family))
-		b.WriteByte('/')
-		b.WriteString(e.Name)
-		b.WriteString(" x")
-		fmt.Fprintf(&b, "%d", e.Count)
-		b.WriteByte('\n')
+		b = append(append(append(b, e.Family...), '/'), e.Name...)
+		b = append(strconv.AppendUint(append(b, " x"...), e.Count, 10), '\n')
 	}
-	return b.String()
+	return string(b)
 }
 
 // DigestOf returns the short hex digest (FNV-1a 64) of the canonical
-// rendering of the edge list.
+// rendering of the edge list, hashed as a stream without rendering it.
 func DigestOf(edges []Edge) string {
-	return fmt.Sprintf("%016x", fnvString(fnvOffset, Canonical(edges)))
+	h := fnvOffset
+	for _, e := range edges {
+		h = fnvByte(fnvString(h, string(e.Family)), '/')
+		h = fnvUint(fnvString(fnvString(h, e.Name), " x"), e.Count)
+		h = fnvByte(h, '\n')
+	}
+	return hex16(h)
+}
+
+// hex16 renders a digest as 16 lowercase, zero-padded hex digits.
+func hex16(h uint64) string {
+	const digits = "0123456789abcdef"
+	var b [16]byte
+	for i := range b {
+		b[i] = digits[h>>(60-4*i)&0xf]
+	}
+	return string(b[:])
 }
 
 // Digest returns the map's canonical digest.

@@ -8,7 +8,9 @@ package ledger_test
 // uninterrupted run writes.
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"sync/atomic"
@@ -230,5 +232,62 @@ func TestRecordDerivedArtifacts(t *testing.T) {
 	}
 	if err := rep.Verify(); err != nil {
 		t.Errorf("rebuilt coverage report fails verification: %v", err)
+	}
+}
+
+// baselineDigest is the record digest of the committed
+// LEDGER_baseline.json.
+const baselineDigest = "97ca9a17a52243dc"
+
+// TestMatrixRecordMatchesBaseline pins the default matrix's settled
+// record to the committed baseline: its digest and every byte of
+// record.json, at one and four workers. `make ledger-diff` fails only
+// on verdict flips and lost coverage edges, so a changed effect line
+// or edge count would pass there; it fails here.
+func TestMatrixRecordMatchesBaseline(t *testing.T) {
+	want, err := os.ReadFile(filepath.Join("..", "..", "LEDGER_baseline.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, workers := range []int{1, 4} {
+		dir := t.TempDir()
+		rec := runLedgerCampaign(t, dir, workers, 0, 0)
+		if rec.Digest != baselineDigest {
+			t.Errorf("workers=%d: record digest %s, want the baseline's %s", workers, rec.Digest, baselineDigest)
+		}
+		if got := recordBytes(t, dir, rec.RunID); got != string(want) {
+			t.Errorf("workers=%d: record.json differs from LEDGER_baseline.json", workers)
+		}
+	}
+}
+
+// TestJournalLoadDeterministicAcrossWorkers checks what the journal
+// guarantees. Its lines land in completion order, so the journal
+// itself differs between worker counts; the record Store.Load settles
+// from it must not.
+func TestJournalLoadDeterministicAcrossWorkers(t *testing.T) {
+	load := func(workers int) []byte {
+		t.Helper()
+		dir := t.TempDir()
+		id := runLedgerCampaign(t, dir, workers, 0, 0).RunID
+		store, err := ledger.Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec, err := store.Load(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := rec.Verify(); err != nil {
+			t.Fatalf("workers=%d: loaded record fails verification: %v", workers, err)
+		}
+		data, err := json.Marshal(rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return data
+	}
+	if one, four := load(1), load(4); !bytes.Equal(one, four) {
+		t.Error("the record loaded from a 4-worker journal differs from the 1-worker one")
 	}
 }

@@ -26,6 +26,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 
 	"repro/internal/buildinfo"
@@ -52,8 +53,38 @@ func fnvString(h uint64, s string) uint64 {
 	return h
 }
 
+func fnvBytes(h uint64, b []byte) uint64 {
+	for _, c := range b {
+		h ^= uint64(c)
+		h *= fnvPrime
+	}
+	return h
+}
+
+// appendHex16 appends h as 16 lowercase, zero-padded hex digits.
+func appendHex16(b []byte, h uint64) []byte {
+	const digits = "0123456789abcdef"
+	for shift := 60; shift >= 0; shift -= 4 {
+		b = append(b, digits[h>>shift&0xf])
+	}
+	return b
+}
+
 func digest16(s string) string {
-	return fmt.Sprintf("%016x", fnvString(fnvOffset, s))
+	return string(appendHex16(nil, fnvString(fnvOffset, s)))
+}
+
+// appendLinesDigest appends the digest of lines joined by "\n", hashed
+// as a stream rather than joined first.
+func appendLinesDigest(b []byte, lines []string) []byte {
+	h := fnvOffset
+	for i, l := range lines {
+		if i > 0 {
+			h = fnvString(h, "\n")
+		}
+		h = fnvString(h, l)
+	}
+	return appendHex16(b, h)
 }
 
 // Key identifies one recorded cell: the (scenario, version, mode, seed)
@@ -147,51 +178,57 @@ func (e *Entry) canceled() bool {
 	return e.Error != nil && e.Error.Class == campaign.FailCanceled
 }
 
-// canonicalLine renders the entry's semantic content as one line of the
-// record's canonical text. Streams and coverage edge lists are folded
-// to length+digest so the canonical form stays readable; the digests
-// still pin every byte of them.
-func (e *Entry) canonicalLine() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "cell %s/%s/%s seed=%d spec=%s", e.Version, e.Scenario, e.Mode, e.Seed, e.SpecDigest)
-	if e.Verdict != nil {
-		mark := func(v bool) byte {
-			if v {
-				return '1'
+// appendCanonical appends the entry's semantic content as one line of
+// the record's canonical text, without the newline. Streams and
+// coverage edge lists are folded to length+digest so the canonical form
+// stays readable; the digests still pin every byte of them.
+func (e *Entry) appendCanonical(b []byte) []byte {
+	b = append(b, "cell "...)
+	b = append(append(append(append(append(b, e.Version...), '/'), e.Scenario...), '/'), e.Mode...)
+	b = strconv.AppendInt(append(b, " seed="...), e.Seed, 10)
+	b = append(append(b, " spec="...), e.SpecDigest...)
+	if v := e.Verdict; v != nil {
+		b = append(b, " verdict="...)
+		for _, on := range [...]bool{v.ErroneousState, v.SecurityViolation, v.Handled} {
+			if on {
+				b = append(b, '1')
+			} else {
+				b = append(b, '0')
 			}
-			return '0'
 		}
-		fmt.Fprintf(&b, " verdict=%c%c%c", mark(e.Verdict.ErroneousState), mark(e.Verdict.SecurityViolation), mark(e.Verdict.Handled))
-		if e.Verdict.ScriptError != "" {
-			fmt.Fprintf(&b, " script-err=%q", e.Verdict.ScriptError)
+		if v.ScriptError != "" {
+			b = strconv.AppendQuote(append(b, " script-err="...), v.ScriptError)
 		}
 	}
-	if e.Equivalence != nil {
-		cv := e.Equivalence
-		fmt.Fprintf(&b, " equiv=%s/%s", cv.Tier, cv.Basis)
+	if cv := e.Equivalence; cv != nil {
+		b = append(append(append(append(b, " equiv="...), cv.Tier...), '/'), cv.Basis...)
 		if cv.RefVersion != "" {
-			fmt.Fprintf(&b, "@%s", cv.RefVersion)
+			b = append(append(b, '@'), cv.RefVersion...)
 		}
-		fmt.Fprintf(&b, ":%d/%d", cv.BaseEvents, cv.InjectionEvents)
+		b = strconv.AppendInt(append(b, ':'), int64(cv.BaseEvents), 10)
+		b = strconv.AppendInt(append(b, '/'), int64(cv.InjectionEvents), 10)
 	}
 	if e.Coverage != nil {
-		fmt.Fprintf(&b, " cov=%sx%d", e.Coverage.Digest, e.Coverage.Edges)
+		b = append(append(b, " cov="...), e.Coverage.Digest...)
+		b = strconv.AppendInt(append(b, 'x'), int64(e.Coverage.Edges), 10)
 	}
 	if e.Latency != nil && e.Latency.Found {
-		fmt.Fprintf(&b, " latency=%d", e.Latency.Events)
+		b = strconv.AppendInt(append(b, " latency="...), e.Latency.Events, 10)
 	}
 	if e.SpanV != 0 {
-		fmt.Fprintf(&b, " span_v=%d", e.SpanV)
+		b = strconv.AppendUint(append(b, " span_v="...), e.SpanV, 10)
 	}
 	if e.Profiled {
-		fmt.Fprintf(&b, " effects=%d:%s audit=%d:%s",
-			len(e.Effects), digest16(strings.Join(e.Effects, "\n")),
-			len(e.StateAudit), digest16(strings.Join(e.StateAudit, "\n")))
+		b = strconv.AppendInt(append(b, " effects="...), int64(len(e.Effects)), 10)
+		b = appendLinesDigest(append(b, ':'), e.Effects)
+		b = strconv.AppendInt(append(b, " audit="...), int64(len(e.StateAudit)), 10)
+		b = appendLinesDigest(append(b, ':'), e.StateAudit)
 	}
 	if e.Error != nil {
-		fmt.Fprintf(&b, " err=%s:%q", e.Error.Class, e.Error.Message)
+		b = append(append(b, " err="...), e.Error.Class...)
+		b = strconv.AppendQuote(append(b, ':'), e.Error.Message)
 	}
-	return b.String()
+	return b
 }
 
 // Config is a run's identity: everything that determines the campaign's
@@ -371,18 +408,32 @@ func Settle(run *Run, entries []*Entry) *Record {
 // one line per entry in dispatch order. Nothing here depends on wall
 // time, completion order, worker count, or the fork path.
 func (r *Record) Canonical() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "run %s\n", r.RunID)
-	fmt.Fprintf(&b, "config %s\n", r.Config.canonical())
-	fmt.Fprintf(&b, "cells %d completed %d\n", r.Cells, r.Completed)
-	for _, e := range r.Entries {
-		b.WriteString(e.canonicalLine())
-		b.WriteByte('\n')
-	}
-	return b.String()
+	var b []byte
+	r.canonicalLines(func(line []byte) { b = append(b, line...) })
+	return string(b)
 }
 
-func (r *Record) computeDigest() string { return digest16(r.Canonical()) }
+// canonicalLines hands the canonical text to emit line by line, each
+// line with its newline. The slice is reused between calls.
+func (r *Record) canonicalLines(emit func(line []byte)) {
+	b := append([]byte("run "), r.RunID...)
+	b = append(append(b, "\nconfig "...), r.Config.canonical()...)
+	b = strconv.AppendInt(append(b, "\ncells "...), int64(r.Cells), 10)
+	b = strconv.AppendInt(append(b, " completed "...), int64(r.Completed), 10)
+	emit(append(b, '\n'))
+	for _, e := range r.Entries {
+		b = e.appendCanonical(b[:0])
+		emit(append(b, '\n'))
+	}
+}
+
+// computeDigest hashes the canonical text as it is rendered, never
+// holding it whole.
+func (r *Record) computeDigest() string {
+	h := fnvOffset
+	r.canonicalLines(func(line []byte) { h = fnvBytes(h, line) })
+	return string(appendHex16(nil, h))
+}
 
 // Verify recomputes the record's identity from its contents: the run ID
 // from the config and the digest from the canonical text, catching

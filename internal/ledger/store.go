@@ -168,13 +168,77 @@ func readJournal(path string) ([]*Entry, error) {
 }
 
 // marshalRecord renders a record as the settled record.json bytes: the
-// canonical interchange form byte-identity is asserted over.
+// canonical interchange form byte-identity is asserted over. The bytes
+// are those of json.MarshalIndent(rec, "", "  ") plus a newline.
 func marshalRecord(rec *Record) ([]byte, error) {
-	data, err := json.MarshalIndent(rec, "", "  ")
+	data, err := json.Marshal(rec)
 	if err != nil {
 		return nil, err
 	}
-	return append(data, '\n'), nil
+	return append(indentJSON(make([]byte, 0, 2*len(data)), data), '\n'), nil
+}
+
+// indentJSON appends src to dst indented as json.Indent(dst, src, "",
+// "  ") would, for src that json.Marshal produced: valid JSON with no
+// whitespace outside strings. It does not validate src, which is what
+// makes it cheaper than json.Indent.
+func indentJSON(dst, src []byte) []byte {
+	depth := 0
+	// needIndent delays the newline after an opening bracket, so empty
+	// objects and arrays render as {} and [].
+	needIndent := false
+	inString, escaped := false, false
+	for _, c := range src {
+		if inString {
+			dst = append(dst, c)
+			switch {
+			case escaped:
+				escaped = false
+			case c == '\\':
+				escaped = true
+			case c == '"':
+				inString = false
+			}
+			continue
+		}
+		if needIndent && c != '}' && c != ']' {
+			needIndent = false
+			depth++
+			dst = appendNewline(dst, depth)
+		}
+		switch c {
+		case '"':
+			inString = true
+			dst = append(dst, c)
+		case '{', '[':
+			needIndent = true
+			dst = append(dst, c)
+		case ',':
+			dst = appendNewline(append(dst, c), depth)
+		case ':':
+			dst = append(dst, c, ' ')
+		case '}', ']':
+			if needIndent {
+				needIndent = false
+			} else {
+				depth--
+				dst = appendNewline(dst, depth)
+			}
+			dst = append(dst, c)
+		default:
+			dst = append(dst, c)
+		}
+	}
+	return dst
+}
+
+// appendNewline starts a new line indented to depth.
+func appendNewline(dst []byte, depth int) []byte {
+	dst = append(dst, '\n')
+	for i := 0; i < depth; i++ {
+		dst = append(dst, ' ', ' ')
+	}
+	return dst
 }
 
 // WriteRecordFile writes a record's settled JSON form, the format

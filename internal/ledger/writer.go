@@ -22,10 +22,11 @@ import (
 // every settled cell becomes one appended journal line, so the record
 // survives a killed process (SIGINT, SIGKILL, panic) at any point with
 // everything that had settled. The journal is never fsynced: an OS
-// crash or power loss may lose its unflushed tail. Settle order is the
-// runner's deterministic dispatch-order funnel, so the journal itself —
-// not just the settled record — is byte-identical at any worker count
-// (modulo the segregated wall_ns field).
+// crash or power loss may lose its unflushed tail. Lines land in
+// completion order, so with more than one worker the journal's line
+// order varies from run to run; what is deterministic is the record
+// Store.Load settles from it, which is byte-identical at any worker
+// count.
 //
 // Ledger I/O never fails the campaign: write errors accumulate and
 // surface via Errors / Close, mirroring the flight recorder's
@@ -116,7 +117,8 @@ func (w *Writer) CellSettled(cell string, res *campaign.RunResult, cerr *campaig
 		e.Effects, e.StateAudit = tracediff.CanonicalStreams(e.Version, campaign.MachineFrames, res.Profile.Events)
 	}
 	if cov != nil {
-		e.Coverage = &CoverageRecord{Digest: cov.Digest(), Edges: cov.Len(), EdgeList: cov.Edges()}
+		edges := cov.Edges()
+		e.Coverage = &CoverageRecord{Digest: coverage.DigestOf(edges), Edges: len(edges), EdgeList: edges}
 	}
 	if lat.Found || lat.TriggerV != 0 {
 		l := lat

@@ -3,6 +3,7 @@ package mm
 import (
 	"sync"
 
+	"repro/internal/coverage"
 	"repro/internal/faults"
 	"repro/internal/span"
 	"repro/internal/telemetry"
@@ -90,7 +91,8 @@ func (j *bootJournal) record(kind journalKind, mfn uint64, name string) {
 }
 
 // Snapshot is a sealed, immutable image of a booted machine plus the
-// boot journal and a pool of reusable fork instances.
+// boot journal, the journal's stamp once a fork needs it, and a pool of
+// reusable fork instances.
 type Snapshot struct {
 	frames      [][]byte
 	pageInfo    []PageInfo
@@ -102,6 +104,9 @@ type Snapshot struct {
 
 	journal       []journalOp
 	allocConsults uint64
+
+	stampOnce sync.Once
+	stamp     *bootStamp
 
 	mu   sync.Mutex
 	pool []*Memory
@@ -148,7 +153,7 @@ func (s *Snapshot) PoolSize() int {
 // Fork stamps out a copy-on-write instance of the sealed machine,
 // reusing a pooled instance when one is available. The fork has no
 // telemetry, fault or span sinks attached; callers attach per-cell
-// sinks and then Replay the boot journal into them. Safe for
+// sinks and then Apply the boot journal's output to them. Safe for
 // concurrent use.
 func (s *Snapshot) Fork() *Memory {
 	s.mu.Lock()
@@ -237,6 +242,62 @@ func (s *Snapshot) Replay(tel *telemetry.Recorder, flt *faults.Injector, tree *s
 			}
 		}
 	}
+}
+
+// bootStamp is the boot journal's output with no fault plane
+// attached, computed once per snapshot: the recorder output (events,
+// counter totals, coverage edges) and the mm-op span boundaries at
+// their offsets in that event list.
+type bootStamp struct {
+	tel   *telemetry.Batch
+	marks []span.Mark
+}
+
+// buildStamp runs the journal once through a scratch recorder whose
+// coverage map classifies frames with fc, noting where each mm-op span
+// opens and closes.
+func (s *Snapshot) buildStamp(fc coverage.FrameClassifier) *bootStamp {
+	rec := telemetry.NewRecorder(len(s.journal) + 1)
+	cov := coverage.NewMap()
+	cov.SetFrameClassifier(fc)
+	rec.AttachCoverage(cov)
+	st := &bootStamp{}
+	for i := range s.journal {
+		op := &s.journal[i]
+		switch op.kind {
+		case jCounter:
+			rec.Inc(op.name)
+		case jTypeGet:
+			rec.PageTypeGet(op.mfn, op.name)
+		case jTypePut:
+			rec.PageTypePut(op.mfn, op.name)
+		case jSpanStart:
+			st.marks = append(st.marks, span.Mark{At: rec.Emitted(), Name: op.name, Open: true})
+		case jSpanEnd:
+			st.marks = append(st.marks, span.Mark{At: rec.Emitted()})
+		}
+	}
+	st.tel = rec.Batch()
+	return st
+}
+
+// Apply delivers the boot journal's output into a fork's sinks. With no
+// fault plane it applies the snapshot's stamp in bulk — built on first
+// use, with page-type coverage classified by fc — so the events,
+// counters, coverage edges and span virtual times come out exactly as
+// Replay's. A fault plane (whose allocation consults and sink-write
+// drops are per cell), a recorder-less span tree or a ring too small
+// for the stamp takes the op-by-op Replay instead.
+func (s *Snapshot) Apply(tel *telemetry.Recorder, flt *faults.Injector, tree *span.Tree, fc coverage.FrameClassifier) {
+	if flt == nil && tel != nil {
+		s.stampOnce.Do(func() { s.stamp = s.buildStamp(fc) })
+		base := tel.Emitted()
+		if tel.Apply(s.stamp.tel) {
+			tree.Stamp(span.KindMMOp, base, s.stamp.marks)
+			return
+		}
+	}
+	s.Replay(tel, flt, tree)
 }
 
 // Copy-on-write plumbing. A Memory with snap != nil reads unowned

@@ -26,6 +26,7 @@ package span
 
 import (
 	"fmt"
+	"slices"
 	"time"
 )
 
@@ -159,6 +160,11 @@ func (t *Tree) Start(kind Kind, name string) int {
 		return -1
 	}
 	v, ns := t.now()
+	return t.startAt(kind, name, v, ns)
+}
+
+// startAt opens a span at the given clock readings.
+func (t *Tree) startAt(kind Kind, name string, v uint64, ns int64) int {
 	id := len(t.spans)
 	parent := -1
 	if n := len(t.stack); n > 0 {
@@ -183,6 +189,12 @@ func (t *Tree) End(id int) {
 		return
 	}
 	v, ns := t.now()
+	t.endAt(id, v, ns)
+}
+
+// endAt closes span id, and any span opened inside it, at the given
+// clock readings.
+func (t *Tree) endAt(id int, v uint64, ns int64) {
 	for n := len(t.stack); n > 0; n = len(t.stack) {
 		top := t.stack[n-1]
 		t.stack = t.stack[:n-1]
@@ -192,6 +204,35 @@ func (t *Tree) End(id int) {
 		t.closed++
 		if top == id {
 			return
+		}
+	}
+}
+
+// Mark is one recorded span boundary. Open starts a span named Name;
+// otherwise the innermost span the marks opened closes. At is the
+// boundary's virtual time relative to the start of the recording.
+type Mark struct {
+	At   uint64
+	Name string
+	Open bool
+}
+
+// Stamp opens and closes spans of the given kind at the marks' virtual
+// times, offset by base, under the currently open span: the bulk form
+// of the Start and End calls the marks were recorded from. All the
+// spans share one wall-clock reading, so they have zero wall width. The
+// marks must balance.
+func (t *Tree) Stamp(kind Kind, base uint64, marks []Mark) {
+	if t == nil || len(marks) == 0 {
+		return
+	}
+	ns := time.Since(t.epoch).Nanoseconds()
+	t.spans = slices.Grow(t.spans, len(marks)/2)
+	for _, m := range marks {
+		if m.Open {
+			t.startAt(kind, m.Name, base+m.At, ns)
+		} else if n := len(t.stack); n > 0 {
+			t.endAt(t.stack[n-1], base+m.At, ns)
 		}
 	}
 }

@@ -217,6 +217,52 @@ func (r *Recorder) emit(e Event) {
 	r.emitted++
 }
 
+// Batch is recorder output captured once and applied to many
+// recorders: the events, counter totals and coverage edges that one
+// fixed sequence of instrumentation calls produces. A forked campaign
+// cell receives its snapshot's boot-time output this way instead of
+// re-running the boot's calls one by one.
+type Batch struct {
+	events   []Event
+	counters []CounterValue
+	cov      *coverage.Map
+}
+
+// Batch captures what the recorder holds as a reusable batch. The
+// recorder must not have dropped events, and neither it nor its
+// coverage map may be written afterward.
+func (r *Recorder) Batch() *Batch {
+	return &Batch{events: r.Events(), counters: r.Counters(), cov: r.cov}
+}
+
+// Apply adds the batch to the recorder as if its instrumentation calls
+// had run here: the events are appended with Seq renumbered from the
+// recorder's clock, the counters added and the coverage edges merged.
+// It applies nothing and returns false when sink faults are armed
+// (their drops are decided per event) or when the events would not fit
+// the ring without wrapping; the caller then makes the calls one by
+// one. A nil recorder has nothing to apply to and returns true.
+func (r *Recorder) Apply(b *Batch) bool {
+	if r == nil {
+		return true
+	}
+	n := uint64(len(b.events))
+	if r.flt != nil || r.emitted+n > r.limit {
+		return false
+	}
+	base := len(r.ring)
+	r.ring = append(r.ring, b.events...)
+	for i := base; i < len(r.ring); i++ {
+		r.ring[i].Seq = r.emitted
+		r.emitted++
+	}
+	for _, c := range b.counters {
+		r.counters[c.Name] += c.Value
+	}
+	r.cov.Merge(b.cov)
+	return true
+}
+
 // Add increments a named counter by n.
 func (r *Recorder) Add(name string, n uint64) {
 	if r == nil {

@@ -15,8 +15,6 @@
 package tracediff
 
 import (
-	"fmt"
-	"regexp"
 	"strconv"
 	"strings"
 
@@ -61,30 +59,30 @@ func (e Event) equal(o Event) bool {
 
 // String renders the event compactly for divergence evidence.
 func (e Event) String() string {
-	var b strings.Builder
-	b.WriteString(e.Kind)
+	b := make([]byte, 0, 64+len(e.Kind)+len(e.Addr)+len(e.Label)+len(e.Detail))
+	b = append(b, e.Kind...)
 	if e.Dom != 0 {
-		fmt.Fprintf(&b, " dom=%d", e.Dom)
+		b = strconv.AppendUint(append(b, " dom="...), uint64(e.Dom), 10)
 	}
 	if e.Nr != 0 {
-		fmt.Fprintf(&b, " nr=%d", e.Nr)
+		b = strconv.AppendInt(append(b, " nr="...), int64(e.Nr), 10)
 	}
 	if e.Addr != "0" {
-		fmt.Fprintf(&b, " addr=%s", e.Addr)
+		b = append(append(b, " addr="...), e.Addr...)
 	}
 	if e.Val != "0" {
-		fmt.Fprintf(&b, " val=%s", e.Val)
+		b = append(append(b, " val="...), e.Val...)
 	}
 	if e.Label != "" {
-		fmt.Fprintf(&b, " label=%q", e.Label)
+		b = strconv.AppendQuote(append(b, " label="...), e.Label)
 	}
 	if e.Detail != "" {
-		fmt.Fprintf(&b, " detail=%q", e.Detail)
+		b = strconv.AppendQuote(append(b, " detail="...), e.Detail)
 	}
 	if e.StateAudit {
-		b.WriteString(" [state-audit]")
+		b = append(b, " [state-audit]"...)
 	}
-	return b.String()
+	return string(b)
 }
 
 // Effect kinds: the events that express what a run *did to the system*
@@ -99,16 +97,11 @@ const (
 	kindVerdictEvidence = "verdict_evidence"
 )
 
-// isEffectKind reports whether events of the named kind belong to the
-// effect stream. It is the one definition of the effect stream: live
-// canonical events and raw recorded events are both filtered by it.
-func isEffectKind(kind string) bool {
-	return kind == kindScenarioStep || kind == kindVerdictEvidence
-}
-
 // isEffect reports whether the canonical event belongs to the effect
-// stream.
-func (e Event) isEffect() bool { return isEffectKind(e.Kind) }
+// stream; isEffectKind selects raw recorded events by the same kinds.
+func (e Event) isEffect() bool {
+	return e.Kind == kindScenarioStep || e.Kind == kindVerdictEvidence
+}
 
 // Canonicalizer folds one run's events into canonical form. It is bound
 // to the run's version profile (for the memory-layout role lookup and
@@ -209,14 +202,6 @@ func (c *Canonicalizer) classify(v uint64) string {
 	}
 }
 
-// hexPrefixed matches 0x literals; bareHex matches unprefixed runs of
-// four or more hex digits (checked for at least one decimal digit
-// before replacing, so hex-alphabet words like "dead" survive).
-var (
-	hexPrefixed = regexp.MustCompile(`0x[0-9a-fA-F]+`)
-	bareHex     = regexp.MustCompile(`\b[0-9a-fA-F]{4,}\b`)
-)
-
 // normalizeText masks the run-identity tokens out of a label or detail
 // string: the run's own version banner, the mode words, and every
 // address-bearing hex literal (classified like numeric operands).
@@ -229,22 +214,78 @@ func (c *Canonicalizer) normalizeText(s string) string {
 	}
 	s = strings.ReplaceAll(s, "injection", placeholderMode)
 	s = strings.ReplaceAll(s, "exploit", placeholderMode)
-	s = hexPrefixed.ReplaceAllStringFunc(s, func(tok string) string {
-		v, err := strconv.ParseUint(tok[2:], 16, 64)
-		if err != nil {
-			return tok
+	// Both hex forms need a decimal digit: "0x" starts with one, and a
+	// bare run is masked only when it holds one.
+	if strings.IndexFunc(s, isDigit) < 0 {
+		return s
+	}
+	return c.maskHex(c.maskHexPrefixed(s))
+}
+
+// maskHexPrefixed classifies every 0x literal: "0x" followed by the
+// longest run of hex digits, scanning left to right without overlap.
+// A literal too long for a uint64 stays as it is.
+func (c *Canonicalizer) maskHexPrefixed(s string) string {
+	var b []byte
+	last := 0
+	for i := 0; i+2 < len(s); i++ {
+		if s[i] != '0' || s[i+1] != 'x' || !isHex(s[i+2]) {
+			continue
 		}
-		return c.classify(v)
-	})
-	s = bareHex.ReplaceAllStringFunc(s, func(tok string) string {
-		if !strings.ContainsAny(tok, "0123456789") {
-			return tok
+		j := i + 3
+		for j < len(s) && isHex(s[j]) {
+			j++
 		}
-		v, err := strconv.ParseUint(tok, 16, 64)
-		if err != nil {
-			return tok
+		if v, err := strconv.ParseUint(s[i+2:j], 16, 64); err == nil {
+			b = append(append(b, s[last:i]...), c.classify(v)...)
+			last = j
 		}
-		return c.classify(v)
-	})
-	return s
+		i = j - 1
+	}
+	if b == nil {
+		return s
+	}
+	return string(append(b, s[last:]...))
+}
+
+// maskHex classifies every bare hex run: a whole ASCII word ([0-9A-Za-z_]
+// between non-word bytes) of four or more hex digits with at least one
+// decimal digit, so hex-alphabet words like "dead" survive. A run too
+// long for a uint64 stays as it is.
+func (c *Canonicalizer) maskHex(s string) string {
+	var b []byte
+	last := 0
+	for i := 0; i < len(s); {
+		if !isWord(s[i]) {
+			i++
+			continue
+		}
+		j, hex, digit := i, true, false
+		for ; j < len(s) && isWord(s[j]); j++ {
+			hex = hex && isHex(s[j])
+			digit = digit || isDigit(rune(s[j]))
+		}
+		if hex && digit && j-i >= 4 {
+			if v, err := strconv.ParseUint(s[i:j], 16, 64); err == nil {
+				b = append(append(b, s[last:i]...), c.classify(v)...)
+				last = j
+			}
+		}
+		i = j
+	}
+	if b == nil {
+		return s
+	}
+	return string(append(b, s[last:]...))
+}
+
+func isDigit(r rune) bool { return '0' <= r && r <= '9' }
+
+func isHex(b byte) bool {
+	return isDigit(rune(b)) || 'a' <= b && b <= 'f' || 'A' <= b && b <= 'F'
+}
+
+// isWord reports an ASCII word byte, the class regexp's \b tests.
+func isWord(b byte) bool {
+	return isHex(b) || 'g' <= b && b <= 'z' || 'G' <= b && b <= 'Z' || b == '_'
 }

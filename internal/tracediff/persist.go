@@ -20,21 +20,33 @@ import (
 // stream, so selecting first yields the same lines as canonicalizing
 // the whole trace and filtering after.
 func CanonicalStreams(version string, machineFrames uint64, evs []telemetry.Event) (effectLines, auditLines []string) {
-	var raw []telemetry.Event
+	n := 0
 	for i := range evs {
-		if isEffectKind(evs[i].Kind.String()) {
+		if isEffectKind(evs[i].Kind) {
+			n++
+		}
+	}
+	raw := make([]telemetry.Event, 0, n)
+	for i := range evs {
+		if isEffectKind(evs[i].Kind) {
 			raw = append(raw, evs[i])
 		}
 	}
 	eff := NewCanonicalizer(version, machineFrames).Events(raw)
-	effectLines = make([]string, 0, len(eff))
-	for _, e := range eff {
-		effectLines = append(effectLines, e.String())
-	}
-	for _, e := range stateAudit(eff) {
-		auditLines = append(auditLines, e.String())
+	effectLines = make([]string, len(eff))
+	for i, e := range eff {
+		effectLines[i] = e.String()
+		if e.StateAudit {
+			auditLines = append(auditLines, effectLines[i])
+		}
 	}
 	return effectLines, auditLines
+}
+
+// isEffectKind reports whether recorded events of kind k belong to the
+// effect stream, the raw-event twin of Event.isEffect.
+func isEffectKind(k telemetry.Kind) bool {
+	return k == telemetry.KindScenarioStep || k == telemetry.KindVerdictEvidence
 }
 
 // CompareStreams grades two persisted canonical streams in lockstep,
