@@ -10,9 +10,10 @@
 # chaos tests exercise panic recovery, watchdog abandonment and
 # cancellation across worker pools — exactly where races would hide)
 # and then drives a seeded full-matrix chaos run through the CLI.
-# `equivalence` runs the RQ2 trace-equivalence engine over the full
-# matrix; any cell whose injection trace diverges from its
-# exploit-induced basis fails the build. BENCH_matrix.json includes the
+# `equivalence` is an alias of `cover-matrix`, whose one campaign also
+# grades RQ2 trace equivalence over the full matrix; any cell whose
+# injection trace diverges from its exploit-induced basis fails the
+# build. BENCH_matrix.json includes the
 # MatrixTelemetry off/on/server/coverage/stream sub-benchmarks, so the
 # -listen overhead is tracked alongside the telemetry overhead. `bench`
 # additionally emits BENCH_snapshot.json (BootEnvironment vs SnapshotBuild vs CellFork) so
@@ -30,12 +31,15 @@
 # invariants, lookup pins and corpus-distribution goldens — cheap, so it
 # runs before the expensive campaign gates and fails fast on a
 # malformed registry entry.
-# `cover-matrix` is the coverage determinism gate: it runs the full
-# 102-cell matrix with -coverage at 4 workers, self-verifies the report,
-# and diffs it against the committed COVERAGE_matrix.json baseline —
-# any new or lost hypervisor behaviour edge fails the build with the
-# edge named and the cell that first witnessed it (cov-diff.txt is left
-# behind for CI to attach on failure).
+# `cover-matrix` is the coverage determinism and RQ2 equivalence gate:
+# one full 102-cell matrix at 4 workers, with -equivalence (any
+# divergent cell exits non-zero) and -coverage; it then self-verifies
+# the coverage report and diffs it against the committed
+# COVERAGE_matrix.json baseline — any new or lost hypervisor behaviour
+# edge fails the build with the edge named and the cell that first
+# witnessed it (cov-diff.txt is left behind for CI to attach on
+# failure). Because both flags share one run, the diff also pins that
+# -equivalence does not run the matrix a second time.
 # `ledger-diff` is the run-record regression gate: it journals a fresh
 # full matrix into ledger-ci/ and diffs the settled record against the
 # committed LEDGER_baseline.json with `tracecheck runs diff` — a verdict
@@ -112,8 +116,7 @@ chaos:
 	$(GO) test -race -run 'Chaos|Panic|Watchdog|Cancel' ./internal/campaign/
 	$(GO) run ./cmd/repro -matrix -chaos 7 -continue-on-error -workers 4 > /dev/null
 
-equivalence:
-	$(GO) run ./cmd/repro -equivalence -workers 4
+equivalence: cover-matrix
 
 spans:
 	$(GO) test ./internal/span/
@@ -131,7 +134,7 @@ lint-scenarios:
 # The coverage gate deliberately preserves tracecheck's exit code while
 # still echoing the diff into cov-diff.txt for the CI artifact upload.
 cover-matrix:
-	$(GO) run ./cmd/repro -matrix -workers 4 -coverage cov-matrix.json > /dev/null
+	$(GO) run ./cmd/repro -matrix -equivalence -workers 4 -coverage cov-matrix.json > /dev/null
 	$(GO) run ./cmd/tracecheck cov cov-matrix.json
 	@$(GO) run ./cmd/tracecheck cov COVERAGE_matrix.json cov-matrix.json > cov-diff.txt 2>&1; rc=$$?; cat cov-diff.txt; exit $$rc
 

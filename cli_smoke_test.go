@@ -492,6 +492,54 @@ func TestCLISmoke(t *testing.T) {
 		}
 	})
 
+	// -matrix -equivalence runs the matrix once: one queued batch, a
+	// 102-cell trace, and the committed coverage digest (a second run
+	// would double the coverage cells and change the digest).
+	t.Run("matrix-equivalence-one-run", func(t *testing.T) {
+		tmp := t.TempDir()
+		cov, trace, logFile := filepath.Join(tmp, "cov.json"), filepath.Join(tmp, "trace.jsonl"), filepath.Join(tmp, "run.log")
+		out, err := exec.Command(filepath.Join(dir, "repro"), "-matrix", "-equivalence",
+			"-coverage", cov, "-trace", trace, "-log", logFile).CombinedOutput()
+		if err != nil {
+			t.Fatalf("repro -matrix -equivalence: %v\n%s", err, out)
+		}
+		for _, want := range []string{"FULL CAMPAIGN MATRIX", "TRACE EQUIVALENCE"} {
+			if !strings.Contains(string(out), want) {
+				t.Errorf("output missing %q:\n%s", want, out)
+			}
+		}
+		raw, err := os.ReadFile(logFile)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := strings.Count(string(raw), `"msg":"batch queued"`); n != 1 {
+			t.Errorf("%d batch queued log lines, want 1:\n%s", n, raw)
+		}
+		raw, err = os.ReadFile(trace)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := strings.Count(string(raw), `"kind":"cell_end"`); n != 102 {
+			t.Errorf("trace holds %d cells, want 102", n)
+		}
+		digest := func(path string) string {
+			data, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var rep struct {
+				Digest string `json:"digest"`
+			}
+			if err := json.Unmarshal(data, &rep); err != nil {
+				t.Fatalf("%s: %v", path, err)
+			}
+			return rep.Digest
+		}
+		if got, want := digest(cov), digest("COVERAGE_matrix.json"); got != want {
+			t.Errorf("coverage digest %s, want the committed %s", got, want)
+		}
+	})
+
 	// The wall schedule end to end: -schedule writes a Perfetto-loadable
 	// trace plus prints the occupancy summary, tracecheck's sched mode
 	// validates it, and -log emits parseable JSON lines with the run ID.

@@ -6,7 +6,7 @@
 //	repro                    # everything
 //	repro -table 3           # one table (1..3)
 //	repro -figure 4          # one figure (1..4)
-//	repro -matrix            # the full 24-run campaign matrix
+//	repro -matrix            # the full 102-cell campaign matrix
 //	repro -matrix -workers 8 # the matrix on an 8-worker pool
 //
 // Campaign cells always run in fresh, isolated environments, so they
@@ -16,9 +16,8 @@
 //
 // By default each (version, mode) environment boots once per process
 // and every cell runs on a copy-on-write fork of the sealed machine;
-// the output is byte-identical either way. -no-snapshot (or a
-// non-empty REPRO_NO_SNAPSHOT in the environment) forces every cell
-// through a full fresh boot — the escape hatch for bisecting a
+// the output is byte-identical either way. -no-snapshot forces every
+// cell through a full fresh boot — the escape hatch for bisecting a
 // suspected snapshot-path divergence.
 //
 // Observability:
@@ -36,9 +35,10 @@
 // -equivalence runs the full matrix with telemetry and structurally
 // compares each scenario's exploit trace against its injection trace
 // per version (canonicalized: addresses folded to layout roles, version
-// and mode banners masked), reporting identical /
-// equivalent-modulo-noise / divergent per cell and exiting non-zero on
-// any divergence.
+// and mode banners masked), reporting equivalent-modulo-noise or
+// divergent per cell and exiting non-zero on any divergence. Combined
+// with -matrix, -coverage or -trace, one matrix run feeds every
+// artifact.
 //
 // Causal spans (RQ3):
 //
@@ -535,108 +535,95 @@ func run(out io.Writer) (err error) {
 			}
 			fmt.Fprintln(out, report.Fig4(rows))
 		}
-		if *ledgerDir != "" {
-			// The ledger flow: execute the delta (the full matrix on a
-			// fresh run), settle the record, grade equivalence from the
-			// persisted streams, and render every artifact from the
-			// settled record — full runs and resumed reruns share one
-			// rendering source, so merged artifacts are byte-identical.
-			if ledgerPrev != nil {
-				log.Printf("ledger: resume from run %s: %d cells reused, %d to execute (%d stale)",
-					ledgerPrev.RunID, len(delta.Reused), len(delta.Rerun), delta.Stale)
-				if ledgerPrev.RunID != runID {
-					ledgerW.Import(delta.Reused)
+		if *ledgerDir != "" || all || *matrix || *equivalence {
+			// The matrix flow runs the campaign matrix at most once and
+			// renders the matrix, equivalence and coverage artifacts from
+			// that one run.
+			var (
+				entries  []campaign.MatrixEntry
+				verdicts func() ([]tracediff.CellVerdict, error)
+				rec      *ledger.Record
+			)
+			if *ledgerDir != "" {
+				// The ledger flow: execute the delta (the full matrix on a
+				// fresh run), settle the record, grade equivalence from
+				// the persisted streams, and render every artifact from
+				// the settled record — full runs and resumed reruns share
+				// one rendering source, so merged artifacts are
+				// byte-identical.
+				if ledgerPrev != nil {
+					log.Printf("ledger: resume from run %s: %d cells reused, %d to execute (%d stale)",
+						ledgerPrev.RunID, len(delta.Reused), len(delta.Rerun), delta.Stale)
+					if ledgerPrev.RunID != runID {
+						ledgerW.Import(delta.Reused)
+					}
+				} else if *resume {
+					log.Print("ledger: no compatible prior run; executing the full matrix")
 				}
-			} else if *resume {
-				log.Print("ledger: no compatible prior run; executing the full matrix")
-			}
-			if len(delta.Rerun) > 0 {
-				entries, err := runner.RunCellRefs(ctx, delta.Rerun)
-				if err != nil {
-					// Close flushes what settled; a later -resume picks
-					// the journal up from exactly here.
-					ledgerW.Close()
-					return fmt.Errorf("ledger campaign: %w", err)
+				if len(delta.Rerun) > 0 {
+					rerun, err := runner.RunCellRefs(ctx, delta.Rerun)
+					if err != nil {
+						// Close flushes what settled; a later -resume
+						// picks the journal up from exactly here.
+						ledgerW.Close()
+						return fmt.Errorf("ledger campaign: %w", err)
+					}
+					for _, e := range rerun {
+						collect(e.Result)
+					}
+				}
+				if snap := ledgerW.Snapshot(); snap.Complete() && snap.Failed() == 0 {
+					graded, err := ledger.Equivalence(snap)
+					if err != nil {
+						ledgerW.Close()
+						return fmt.Errorf("ledger equivalence: %w", err)
+					}
+					ledgerW.RecordEquivalence(graded)
+				} else {
+					// A partial or failed matrix cannot carry verdicts
+					// inherited from a prior fully graded run.
+					ledgerW.StripEquivalence()
+				}
+				var err error
+				if rec, err = ledgerW.Close(); err != nil {
+					return fmt.Errorf("ledger: %w", err)
+				}
+				log.Printf("ledger: run %s settled %d/%d cells (record digest %s) in %s",
+					rec.RunID, rec.Completed, rec.Cells, rec.Digest, ledgerStore.RunDir(rec.RunID))
+				entries = rec.MatrixEntries()
+				verdicts = func() ([]tracediff.CellVerdict, error) {
+					v, ok := rec.EquivalenceVerdicts()
+					if !ok {
+						return nil, errors.New("run record is not fully graded (failed or missing cells)")
+					}
+					return v, nil
+				}
+			} else {
+				var err error
+				if entries, err = runner.RunMatrixContext(ctx); err != nil {
+					return fmt.Errorf("full matrix: %w", err)
 				}
 				for _, e := range entries {
 					collect(e.Result)
 				}
+				verdicts = func() ([]tracediff.CellVerdict, error) { return tracediff.MatrixEquivalence(entries) }
 			}
-			if snap := ledgerW.Snapshot(); snap.Complete() && snap.Failed() == 0 {
-				verdicts, eqErr := ledger.Equivalence(snap)
-				if eqErr != nil {
-					ledgerW.Close()
-					return fmt.Errorf("ledger equivalence: %w", eqErr)
-				}
-				ledgerW.RecordEquivalence(verdicts)
-			} else {
-				// A partial or failed matrix cannot carry verdicts
-				// inherited from a prior fully graded run.
-				ledgerW.StripEquivalence()
+			if *ledgerDir != "" || all || *matrix {
+				fmt.Fprintln(out, report.Matrix(entries))
 			}
-			rec, lerr := ledgerW.Close()
-			if lerr != nil {
-				return fmt.Errorf("ledger: %w", lerr)
-			}
-			log.Printf("ledger: run %s settled %d/%d cells (record digest %s) in %s",
-				rec.RunID, rec.Completed, rec.Cells, rec.Digest, ledgerStore.RunDir(rec.RunID))
-			fmt.Fprintln(out, report.Matrix(rec.MatrixEntries()))
 			if *equivalence {
-				verdicts, ok := rec.EquivalenceVerdicts()
-				if !ok {
-					return errors.New("equivalence: run record is not fully graded (failed or missing cells)")
+				v, err := verdicts()
+				if err != nil {
+					return fmt.Errorf("equivalence: %w", err)
 				}
-				fmt.Fprintln(out, report.TraceEquivalence(verdicts))
-				divergent := 0
-				for _, cv := range verdicts {
-					if !cv.Equivalent() {
-						divergent++
-					}
-				}
-				if divergent > 0 {
-					return fmt.Errorf("equivalence: %d of %d cells divergent", divergent, len(verdicts))
+				if err := renderEquivalence(out, v); err != nil {
+					return err
 				}
 			}
-			if *covOut != "" {
-				rep := rec.CoverageReport()
-				if werr := writeCoverage(*covOut, rep); werr != nil {
-					return werr
+			if rec != nil && *covOut != "" {
+				if err := renderCoverage(out, *covOut, rec.CoverageReport()); err != nil {
+					return err
 				}
-				log.Printf("wrote coverage report (%d edges, digest %s) to %s", rep.TotalEdges, rep.Digest, *covOut)
-				fmt.Fprintln(out, report.CoverageSummary(rep))
-			}
-		}
-		if (all || *matrix) && *ledgerDir == "" {
-			entries, err := runner.RunMatrixContext(ctx)
-			if err != nil {
-				return fmt.Errorf("full matrix: %w", err)
-			}
-			for _, e := range entries {
-				collect(e.Result)
-			}
-			fmt.Fprintln(out, report.Matrix(entries))
-		}
-		if *equivalence && *ledgerDir == "" {
-			entries, err := runner.RunMatrixContext(ctx)
-			if err != nil {
-				return fmt.Errorf("equivalence matrix: %w", err)
-			}
-			for _, e := range entries {
-				collect(e.Result)
-			}
-			verdicts, err := tracediff.MatrixEquivalence(entries)
-			if err != nil {
-				return fmt.Errorf("equivalence: %w", err)
-			}
-			fmt.Fprintln(out, report.TraceEquivalence(verdicts))
-			divergent := 0
-			for _, cv := range verdicts {
-				if !cv.Equivalent() {
-					divergent++
-				}
-			}
-			if divergent > 0 {
-				return fmt.Errorf("equivalence: %d of %d cells divergent", divergent, len(verdicts))
 			}
 		}
 		if *fuzz > 0 {
@@ -716,7 +703,7 @@ func run(out io.Writer) (err error) {
 		}
 		switch {
 		case len(profiles) > 0:
-			if err := writeTrace(*traceOut, profiles); err != nil {
+			if err := writeFile(*traceOut, "trace", func(w io.Writer) error { return telemetry.WriteTrace(w, profiles) }); err != nil {
 				flushErrs = append(flushErrs, err)
 			} else {
 				log.Printf("wrote %d-cell trace to %s", len(profiles), *traceOut)
@@ -733,7 +720,7 @@ func run(out io.Writer) (err error) {
 		if cerr := forest.Check(); cerr != nil {
 			flushErrs = append(flushErrs, fmt.Errorf("spans: invariant violation: %w", cerr))
 		}
-		if werr := writeSpans(*spansOut, forest); werr != nil {
+		if werr := writeFile(*spansOut, "spans", func(w io.Writer) error { return span.WriteChrome(w, forest) }); werr != nil {
 			flushErrs = append(flushErrs, werr)
 		} else {
 			log.Printf("wrote span trace to %s (open in ui.perfetto.dev)", *spansOut)
@@ -741,16 +728,12 @@ func run(out io.Writer) (err error) {
 		fmt.Fprintln(out, report.SpanSummary(forest, poolSize))
 	}
 	if *covOut != "" && *ledgerDir == "" {
-		rep := runner.Coverage.Report()
-		if werr := writeCoverage(*covOut, rep); werr != nil {
+		if werr := renderCoverage(out, *covOut, runner.Coverage.Report()); werr != nil {
 			flushErrs = append(flushErrs, werr)
-		} else {
-			log.Printf("wrote coverage report (%d edges, digest %s) to %s", rep.TotalEdges, rep.Digest, *covOut)
 		}
-		fmt.Fprintln(out, report.CoverageSummary(rep))
 	}
 	if *scheduleOut != "" {
-		if werr := writeSchedule(*scheduleOut, timeline); werr != nil {
+		if werr := writeFile(*scheduleOut, "schedule", timeline.WriteChrome); werr != nil {
 			flushErrs = append(flushErrs, werr)
 		} else {
 			log.Printf("wrote wall schedule to %s (open in ui.perfetto.dev)", *scheduleOut)
@@ -758,7 +741,11 @@ func run(out io.Writer) (err error) {
 		fmt.Fprintln(out, events.RenderSummary(timeline.Snapshot()))
 	}
 	if *memProfile != "" {
-		if err := writeHeapProfile(*memProfile); err != nil {
+		heap := func(w io.Writer) error {
+			runtime.GC()
+			return pprof.WriteHeapProfile(w)
+		}
+		if err := writeFile(*memProfile, "memprofile", heap); err != nil {
 			flushErrs = append(flushErrs, err)
 		}
 	}
@@ -779,80 +766,50 @@ func run(out io.Writer) (err error) {
 	return errors.Join(append([]error{bodyErr}, flushErrs...)...)
 }
 
-func writeTrace(path string, profiles []*telemetry.CellProfile) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return fmt.Errorf("trace: %w", err)
+// renderEquivalence prints the RQ2 verdict table and fails on any
+// divergent cell.
+func renderEquivalence(out io.Writer, verdicts []tracediff.CellVerdict) error {
+	fmt.Fprintln(out, report.TraceEquivalence(verdicts))
+	divergent := 0
+	for _, cv := range verdicts {
+		if !cv.Equivalent() {
+			divergent++
+		}
 	}
-	if err := telemetry.WriteTrace(f, profiles); err != nil {
-		f.Close()
-		return fmt.Errorf("trace: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		return fmt.Errorf("trace: %w", err)
-	}
-	return nil
-}
-
-func writeSpans(path string, f *span.Forest) error {
-	fh, err := os.Create(path)
-	if err != nil {
-		return fmt.Errorf("spans: %w", err)
-	}
-	if err := span.WriteChrome(fh, f); err != nil {
-		fh.Close()
-		return fmt.Errorf("spans: %w", err)
-	}
-	if err := fh.Close(); err != nil {
-		return fmt.Errorf("spans: %w", err)
+	if divergent > 0 {
+		return fmt.Errorf("equivalence: %d of %d cells divergent", divergent, len(verdicts))
 	}
 	return nil
 }
 
-func writeSchedule(path string, t *events.Timeline) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return fmt.Errorf("schedule: %w", err)
+// renderCoverage writes the campaign coverage report to path and
+// prints its summary.
+func renderCoverage(out io.Writer, path string, rep *coverage.Report) error {
+	err := writeFile(path, "coverage", func(w io.Writer) error {
+		enc := json.NewEncoder(w)
+		enc.SetIndent("", "  ")
+		return enc.Encode(rep)
+	})
+	if err == nil {
+		log.Printf("wrote coverage report (%d edges, digest %s) to %s", rep.TotalEdges, rep.Digest, path)
 	}
-	if err := t.WriteChrome(f); err != nil {
-		f.Close()
-		return fmt.Errorf("schedule: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		return fmt.Errorf("schedule: %w", err)
-	}
-	return nil
+	fmt.Fprintln(out, report.CoverageSummary(rep))
+	return err
 }
 
-func writeCoverage(path string, rep *coverage.Report) error {
+// writeFile creates path and fills it with write; what names the
+// artifact in any error.
+func writeFile(path, what string, write func(io.Writer) error) error {
 	f, err := os.Create(path)
 	if err != nil {
-		return fmt.Errorf("coverage: %w", err)
+		return fmt.Errorf("%s: %w", what, err)
 	}
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(rep); err != nil {
-		f.Close()
-		return fmt.Errorf("coverage: %w", err)
+	err = write(f)
+	if cerr := f.Close(); err == nil {
+		err = cerr
 	}
-	if err := f.Close(); err != nil {
-		return fmt.Errorf("coverage: %w", err)
-	}
-	return nil
-}
-
-func writeHeapProfile(path string) error {
-	f, err := os.Create(path)
 	if err != nil {
-		return fmt.Errorf("memprofile: %w", err)
-	}
-	runtime.GC()
-	if err := pprof.WriteHeapProfile(f); err != nil {
-		f.Close()
-		return fmt.Errorf("memprofile: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		return fmt.Errorf("memprofile: %w", err)
+		return fmt.Errorf("%s: %w", what, err)
 	}
 	return nil
 }

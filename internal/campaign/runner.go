@@ -946,12 +946,6 @@ func (r *Runner) SecurityBenchmarkContext(ctx context.Context) ([]Score, error) 
 	return r.securityBenchmarkSpecs(ctx, campaignPlan().specs)
 }
 
-// SecurityBenchmarkSpecs is SecurityBenchmarkContext over an explicit
-// spec list, scoped like RunMatrixSpecs.
-func (r *Runner) SecurityBenchmarkSpecs(ctx context.Context, specs []exploits.Spec) ([]Score, error) {
-	return r.securityBenchmarkSpecs(ctx, specs)
-}
-
 // securityBenchmarkSpecs is SecurityBenchmarkContext over an explicit
 // spec list, so the seed-identity tests can score the original
 // scenarios alone.

@@ -212,16 +212,6 @@ func (r *Report) Verify() error {
 	return nil
 }
 
-// CellByID returns the named cell's coverage, if present.
-func (r *Report) CellByID(id string) (CellCoverage, bool) {
-	for _, c := range r.Cells {
-		if c.Cell == id {
-			return c, true
-		}
-	}
-	return CellCoverage{}, false
-}
-
 // Diff compares two reports' unions. New edges are present in b but
 // not a; lost edges are present in a but not b. Both carry b's (or
 // a's, for lost) first-witness cell so a diff names where the edge

@@ -105,15 +105,6 @@ func WithTelemetry(r *telemetry.Recorder) Option { return func(c *config) { c.te
 // disabled at the cost of one predicted branch per instrumented site.
 func WithFaults(f *faults.Injector) Option { return func(c *config) { c.flt = f } }
 
-// WithCoverage installs the cell's coverage map on the build: the
-// telemetry instrumentation sites feed it behaviour edges (hypercall
-// outcomes, page-type transitions, validation rejects, walk denials,
-// injector transitions, grant/domctl ops). Coverage rides on the
-// telemetry recorder; if none was configured, boot creates a private
-// one so coverage works standalone. A nil map (the default) keeps
-// coverage disabled at zero cost.
-func WithCoverage(m *coverage.Map) Option { return func(c *config) { c.cov = m } }
-
 // WithSpans installs the cell's causal span tree on the build: every
 // hypercall dispatch and machine range allocation opens a span in it,
 // and the monitor nests its audit pass under the assess phase. A nil
@@ -177,18 +168,9 @@ func New(mem *mm.Memory, version Version, opts ...Option) (*Hypervisor, error) {
 }
 
 func (h *Hypervisor) boot() error {
-	// Coverage rides on the telemetry recorder: discover a map a caller
-	// attached to the recorder directly, or — when WithCoverage came
-	// without telemetry — create a private recorder to feed it.
-	if h.cfg.cov == nil && h.cfg.tel != nil {
-		h.cfg.cov = h.cfg.tel.Coverage()
-	}
-	if h.cfg.cov != nil {
-		if h.cfg.tel == nil {
-			h.cfg.tel = telemetry.NewRecorder(0)
-		}
-		h.cfg.tel.AttachCoverage(h.cfg.cov)
-	}
+	// Coverage rides on the telemetry recorder: the map, if any, is the
+	// one attached to it.
+	h.cfg.cov = h.cfg.tel.Coverage()
 	// Wire the telemetry sink before the first reservation so boot-time
 	// allocator and frame-type activity is part of the trace.
 	if h.cfg.tel != nil {
@@ -446,9 +428,6 @@ func (h *Hypervisor) XenL4() mm.MFN { return h.xenL4 }
 
 // HeapBase returns the first frame of the Xen heap.
 func (h *Hypervisor) HeapBase() mm.MFN { return h.heapBase }
-
-// HeapFrames returns the size of the Xen heap in frames.
-func (h *Hypervisor) HeapFrames() int { return xenHeapFrames }
 
 // PageFaults returns how many faults the native #PF handler absorbed.
 func (h *Hypervisor) PageFaults() int { return h.pfCount }

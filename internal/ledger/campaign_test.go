@@ -13,6 +13,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sync/atomic"
 	"testing"
 
@@ -20,6 +21,7 @@ import (
 	"repro/internal/faults"
 	"repro/internal/ledger"
 	"repro/internal/telemetry"
+	"repro/internal/tracediff"
 )
 
 // runLedgerCampaign mirrors the repro binary's -ledger flow: plan the
@@ -257,6 +259,35 @@ func TestMatrixRecordMatchesBaseline(t *testing.T) {
 		}
 		if got := recordBytes(t, dir, rec.RunID); got != string(want) {
 			t.Errorf("workers=%d: record.json differs from LEDGER_baseline.json", workers)
+		}
+	}
+}
+
+// TestLiveEquivalenceMatchesBaseline pins the live grader to the
+// committed record: tracediff.MatrixEquivalence over a freshly run
+// profiled matrix must yield exactly the verdicts LEDGER_baseline.json
+// carries, at one and four workers.
+func TestLiveEquivalenceMatchesBaseline(t *testing.T) {
+	rec, err := ledger.LoadRecordFile(filepath.Join("..", "..", "LEDGER_baseline.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, ok := rec.EquivalenceVerdicts()
+	if !ok || len(want) == 0 {
+		t.Fatal("baseline record carries no equivalence verdicts")
+	}
+	for _, workers := range []int{1, 4} {
+		r := &campaign.Runner{Workers: workers, Telemetry: telemetry.NewRegistry()}
+		entries, err := r.RunMatrix()
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		got, err := tracediff.MatrixEquivalence(entries)
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("workers=%d: live verdicts differ from the baseline record's", workers)
 		}
 	}
 }

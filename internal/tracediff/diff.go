@@ -73,17 +73,6 @@ func effects(evs []Event) []Event {
 	return out
 }
 
-// stateAudit extracts the monitor's marked erroneous-state evidence.
-func stateAudit(evs []Event) []Event {
-	out := make([]Event, 0, 2)
-	for _, e := range evs {
-		if e.StateAudit {
-			out = append(out, e)
-		}
-	}
-	return out
-}
-
 // Compare grades two full canonical streams: identical if everything
 // matches, equivalent-modulo-noise if the effect substreams match, and
 // divergent otherwise — with the first effect divergence as evidence.

@@ -15,6 +15,18 @@ func renderLines(evs []Event) []string {
 	return out
 }
 
+// stateAudit extracts the monitor's marked erroneous-state evidence:
+// the reference path for CanonicalStreams' audit lines.
+func stateAudit(evs []Event) []Event {
+	out := make([]Event, 0, 2)
+	for _, e := range evs {
+		if e.StateAudit {
+			out = append(out, e)
+		}
+	}
+	return out
+}
+
 // TestCanonicalStreamsMatchFullCanonicalization is the differential
 // check on CanonicalStreams, which selects effect events before it
 // canonicalizes them: for every matrix cell its lines must equal those
