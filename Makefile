@@ -55,10 +55,11 @@
 # `tracecheck sched` re-validates lane by lane. Both artifacts are left
 # behind for CI to attach on failure.
 # `fuzz-smoke` runs each native fuzz target for a bounded 10s. Each
-# target checks a hand-written text kernel against the implementation
-# it replaced (regexp masking, json.Indent, fmt rendering); a failing
-# input lands under the package's testdata/fuzz, where plain `go test`
-# replays it from then on.
+# target checks a hand-written kernel against the implementation it
+# replaced (regexp masking, fmt rendering, and encoding/json for the
+# ledger's record.json and cells.jsonl codec); a failing input lands
+# under the package's testdata/fuzz, where plain `go test` replays it
+# from then on.
 
 GO ?= go
 
@@ -160,6 +161,9 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzNormalizeText$$' -fuzztime 10s ./internal/tracediff/
 	$(GO) test -run '^$$' -fuzz '^FuzzEntryCanonical$$' -fuzztime 10s ./internal/ledger/
 	$(GO) test -run '^$$' -fuzz '^FuzzIndentJSON$$' -fuzztime 10s ./internal/ledger/
+	$(GO) test -run '^$$' -fuzz '^FuzzEntryEncode$$' -fuzztime 10s ./internal/ledger/
+	$(GO) test -run '^$$' -fuzz '^FuzzRecordDecode$$' -fuzztime 10s ./internal/ledger/
+	$(GO) test -run '^$$' -fuzz '^FuzzReadJournal$$' -fuzztime 10s ./internal/ledger/
 
 ledger-baseline:
 	rm -rf ledger-ci

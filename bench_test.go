@@ -7,6 +7,7 @@ package repro
 import (
 	"context"
 	"fmt"
+	"os"
 	"path/filepath"
 	"testing"
 
@@ -198,7 +199,8 @@ func BenchmarkMatrixTelemetry(b *testing.B) {
 // BenchmarkLedgerSettle measures the serial tail of a ledger run over
 // the committed LEDGER_baseline.json (102 cells): settle the entries
 // into a canonical record, write record.json, load and verify it back,
-// and diff it against the baseline, as `make ledger-diff` does.
+// diff it against the baseline, as `make ledger-diff` does, and journal
+// every entry into a fresh cells.jsonl, as a run's settled cells are.
 func BenchmarkLedgerSettle(b *testing.B) {
 	base, err := ledger.LoadRecordFile("LEDGER_baseline.json")
 	if err != nil {
@@ -229,6 +231,29 @@ func BenchmarkLedgerSettle(b *testing.B) {
 		rec := ledger.Settle(run, base.Entries)
 		for i := 0; i < b.N; i++ {
 			_ = ledger.Diff(base, rec)
+		}
+	})
+	b.Run("journal", func(b *testing.B) {
+		store, err := ledger.Open(filepath.Join(b.TempDir(), "store"))
+		if err != nil {
+			b.Fatal(err)
+		}
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			if err := os.RemoveAll(store.RunDir(base.RunID)); err != nil {
+				b.Fatal(err)
+			}
+			w, err := store.NewWriter(base.Config, base.Cells)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.StartTimer()
+			w.Import(base.Entries)
+			b.StopTimer()
+			if _, err := w.Close(); err != nil {
+				b.Fatal(err)
+			}
+			b.StartTimer()
 		}
 	})
 }

@@ -8,7 +8,9 @@ package campaign
 
 import (
 	"errors"
+	"strconv"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -16,11 +18,15 @@ import (
 	"repro/internal/hv"
 )
 
+// poolSeq numbers poolVersion calls across the process.
+var poolSeq atomic.Int64
+
 // poolVersion returns a version profile with a private name, so each
-// test gets its own snapshot-cache entry and pool.
+// test invocation gets its own snapshot-cache entry and pool, also
+// when `go test -count` runs the test again in the same process.
 func poolVersion(t *testing.T) hv.Version {
 	v := hv.Version46()
-	v.Name = "4.6#" + t.Name()
+	v.Name = "4.6#" + t.Name() + "#" + strconv.FormatInt(poolSeq.Add(1), 10)
 	return v
 }
 

@@ -26,8 +26,11 @@ type batch struct {
 }
 
 type cellEntry struct {
-	m    *Map
-	done bool
+	m *Map
+	// edges, when non-nil, is the cell's settled edge list, used in
+	// place of m (see FinishCellEdges).
+	edges []Edge
+	done  bool
 }
 
 // NewCollector returns an empty campaign coverage collector.
@@ -52,6 +55,23 @@ func (c *Collector) StartBatch(cells []string) {
 // announced — the single-run path — settles into an implicit one-cell
 // batch, preserving overall dispatch order.
 func (c *Collector) FinishCell(cell string, m *Map) {
+	c.finish(cell, cellEntry{m: m, done: true})
+}
+
+// FinishCellEdges is FinishCell for coverage already settled into an
+// edge list, such as a cell's persisted list read back from the run
+// ledger, without rebuilding a Map. nil means the cell produced no
+// coverage. The report shares a list in canonical order with no
+// repeated edge, which is what Edges returns; any other list is
+// canonicalized through FromEdges first.
+func (c *Collector) FinishCellEdges(cell string, edges []Edge) {
+	if edges != nil && !isCanonical(edges) {
+		edges = FromEdges(edges).Edges()
+	}
+	c.finish(cell, cellEntry{edges: edges, done: true})
+}
+
+func (c *Collector) finish(cell string, settled cellEntry) {
 	if c == nil {
 		return
 	}
@@ -59,12 +79,23 @@ func (c *Collector) FinishCell(cell string, m *Map) {
 	defer c.mu.Unlock()
 	for i := len(c.batches) - 1; i >= 0; i-- {
 		if e, ok := c.batches[i].cells[cell]; ok && !e.done {
-			e.m, e.done = m, true
+			*e = settled
 			return
 		}
 	}
-	b := &batch{order: []string{cell}, cells: map[string]*cellEntry{cell: {m: m, done: true}}}
+	b := &batch{order: []string{cell}, cells: map[string]*cellEntry{cell: &settled}}
 	c.batches = append(c.batches, b)
+}
+
+// isCanonical reports whether edges are strictly in canonical
+// (family, name) order.
+func isCanonical(edges []Edge) bool {
+	for i := 1; i < len(edges); i++ {
+		if (edgeKey{edges[i-1].Family, edges[i-1].Name}).compare(edgeKey{edges[i].Family, edges[i].Name}) >= 0 {
+			return false
+		}
+	}
+	return true
 }
 
 // CellCoverage is one cell's settled coverage in a Report.
@@ -118,13 +149,15 @@ func (c *Collector) Report() *Report {
 	}
 	c.mu.Lock()
 	type settled struct {
-		id string
-		m  *Map
+		id    string
+		m     *Map
+		edges []Edge
 	}
 	var cells []settled
 	for _, b := range c.batches {
 		for _, id := range b.order {
-			cells = append(cells, settled{id: id, m: b.cells[id].m})
+			e := b.cells[id]
+			cells = append(cells, settled{id: id, m: e.m, edges: e.edges})
 		}
 	}
 	c.mu.Unlock()
@@ -132,7 +165,10 @@ func (c *Collector) Report() *Report {
 	rep := &Report{}
 	union := make(map[edgeKey]*UnionEdge)
 	for _, s := range cells {
-		edges := s.m.Edges()
+		edges := s.edges
+		if edges == nil {
+			edges = s.m.Edges()
+		}
 		cc := CellCoverage{Cell: s.id, Edges: edges, Digest: DigestOf(edges)}
 		for _, e := range edges {
 			key := edgeKey{e.Family, e.Name}

@@ -69,20 +69,26 @@ func (r *Record) EquivalenceVerdicts() (verdicts []tracediff.CellVerdict, ok boo
 // CoverageReport replays the record's per-cell coverage through the
 // live campaign aggregation: one batch of all cells in dispatch order,
 // so union membership, first-witness attribution and the report digest
-// are identical to what the campaign's own collector produced.
+// are identical to what the campaign's own collector produced. Each
+// entry's persisted edge list goes in as it is (the report shares it);
+// an entry with coverage but no edges maps to an empty, non-nil list,
+// as an empty map's Edges does.
 func (r *Record) CoverageReport() *coverage.Report {
 	c := coverage.NewCollector()
-	ids := make([]string, 0, len(r.Entries))
-	for _, e := range r.Entries {
-		ids = append(ids, e.Key().Cell())
+	ids := make([]string, len(r.Entries))
+	for i, e := range r.Entries {
+		ids[i] = e.Key().Cell()
 	}
 	c.StartBatch(ids)
-	for _, e := range r.Entries {
-		var m *coverage.Map
+	for i, e := range r.Entries {
+		var edges []coverage.Edge
 		if e.Coverage != nil {
-			m = coverage.FromEdges(e.Coverage.EdgeList)
+			edges = e.Coverage.EdgeList
+			if edges == nil {
+				edges = []coverage.Edge{}
+			}
 		}
-		c.FinishCell(e.Key().Cell(), m)
+		c.FinishCellEdges(ids[i], edges)
 	}
 	return c.Report()
 }

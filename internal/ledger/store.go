@@ -4,9 +4,11 @@ import (
 	"bufio"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
+	"strings"
 )
 
 // The on-disk layout. A store directory holds one subdirectory per run
@@ -28,6 +30,15 @@ import (
 // interrupted ones) and record.json is a derived, self-verifying
 // convenience — the byte-identity artifact, the committed-baseline
 // format, and the diff input.
+//
+// The byte contract: a journal line is json.Marshal of its Entry, and
+// record.json is json.MarshalIndent(record, "", "  ") plus a newline.
+// Both are written and read by the schema-specific codec in codec.go,
+// which reads back exactly what json.Unmarshal would. FuzzEntryEncode,
+// FuzzIndentJSON, FuzzRecordDecode and FuzzReadJournal hold the codec
+// to encoding/json, and the committed LEDGER_baseline.json to those
+// bytes. run.json is
+// one small file per run and stays on encoding/json.
 
 const (
 	runFile     = "run.json"
@@ -128,9 +139,8 @@ func readRunFile(path string) (*Run, error) {
 	return &r, nil
 }
 
-// readJournal decodes a cells.jsonl journal, last entry per key wins.
-// A truncated final line (crash mid-append) is skipped, not fatal: the
-// cell it carried simply reruns on resume.
+// readJournal decodes a cells.jsonl journal file; a missing journal
+// holds no entries.
 func readJournal(path string) ([]*Entry, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -140,26 +150,34 @@ func readJournal(path string) ([]*Entry, error) {
 		return nil, fmt.Errorf("ledger: open journal: %w", err)
 	}
 	defer f.Close()
+	return decodeJournal(f)
+}
 
+// decodeJournal decodes journal lines, last entry per key wins. A line
+// that does not decode (a truncated final line from a crash
+// mid-append, or garbage) is skipped, not fatal: the cell it carried
+// simply reruns on resume.
+func decodeJournal(r io.Reader) ([]*Entry, error) {
 	byKey := make(map[Key]int)
 	var entries []*Entry
-	sc := bufio.NewScanner(f)
+	var d decoder
+	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
 	for sc.Scan() {
 		line := sc.Bytes()
 		if len(line) == 0 {
 			continue
 		}
-		var e Entry
-		if err := json.Unmarshal(line, &e); err != nil {
+		e := new(Entry)
+		if err := d.decodeEntry(string(line), e); err != nil {
 			continue
 		}
 		if i, ok := byKey[e.Key()]; ok {
-			entries[i] = &e
+			entries[i] = e
 			continue
 		}
 		byKey[e.Key()] = len(entries)
-		entries = append(entries, &e)
+		entries = append(entries, e)
 	}
 	if err := sc.Err(); err != nil {
 		return nil, fmt.Errorf("ledger: scan journal: %w", err)
@@ -168,87 +186,16 @@ func readJournal(path string) ([]*Entry, error) {
 }
 
 // marshalRecord renders a record as the settled record.json bytes: the
-// canonical interchange form byte-identity is asserted over. The bytes
-// are those of json.MarshalIndent(rec, "", "  ") plus a newline.
-func marshalRecord(rec *Record) ([]byte, error) {
-	data, err := json.Marshal(rec)
-	if err != nil {
-		return nil, err
-	}
-	return append(indentJSON(make([]byte, 0, 2*len(data)), data), '\n'), nil
-}
-
-// indentJSON appends src to dst indented as json.Indent(dst, src, "",
-// "  ") would, for src that json.Marshal produced: valid JSON with no
-// whitespace outside strings. It does not validate src, which is what
-// makes it cheaper than json.Indent.
-func indentJSON(dst, src []byte) []byte {
-	depth := 0
-	// needIndent delays the newline after an opening bracket, so empty
-	// objects and arrays render as {} and [].
-	needIndent := false
-	inString, escaped := false, false
-	for _, c := range src {
-		if inString {
-			dst = append(dst, c)
-			switch {
-			case escaped:
-				escaped = false
-			case c == '\\':
-				escaped = true
-			case c == '"':
-				inString = false
-			}
-			continue
-		}
-		if needIndent && c != '}' && c != ']' {
-			needIndent = false
-			depth++
-			dst = appendNewline(dst, depth)
-		}
-		switch c {
-		case '"':
-			inString = true
-			dst = append(dst, c)
-		case '{', '[':
-			needIndent = true
-			dst = append(dst, c)
-		case ',':
-			dst = appendNewline(append(dst, c), depth)
-		case ':':
-			dst = append(dst, c, ' ')
-		case '}', ']':
-			if needIndent {
-				needIndent = false
-			} else {
-				depth--
-				dst = appendNewline(dst, depth)
-			}
-			dst = append(dst, c)
-		default:
-			dst = append(dst, c)
-		}
-	}
-	return dst
-}
-
-// appendNewline starts a new line indented to depth.
-func appendNewline(dst []byte, depth int) []byte {
-	dst = append(dst, '\n')
-	for i := 0; i < depth; i++ {
-		dst = append(dst, ' ', ' ')
-	}
-	return dst
+// canonical interchange form byte-identity is asserted over, equal to
+// json.MarshalIndent(rec, "", "  ") plus a newline.
+func marshalRecord(rec *Record) []byte {
+	return append(appendRecordJSON(make([]byte, 0, 1024+3072*len(rec.Entries)), rec), '\n')
 }
 
 // WriteRecordFile writes a record's settled JSON form, the format
 // `make ledger-baseline` commits and `tracecheck runs diff` consumes.
 func WriteRecordFile(path string, rec *Record) error {
-	data, err := marshalRecord(rec)
-	if err != nil {
-		return fmt.Errorf("ledger: marshal record: %w", err)
-	}
-	if err := os.WriteFile(path, data, 0o644); err != nil {
+	if err := os.WriteFile(path, marshalRecord(rec), 0o644); err != nil {
 		return fmt.Errorf("ledger: write record: %w", err)
 	}
 	return nil
@@ -257,16 +204,32 @@ func WriteRecordFile(path string, rec *Record) error {
 // LoadRecordFile reads and verifies a settled record file (a run
 // directory's record.json or a committed baseline).
 func LoadRecordFile(path string) (*Record, error) {
-	data, err := os.ReadFile(path)
+	data, err := readFileString(path)
 	if err != nil {
 		return nil, fmt.Errorf("ledger: read record: %w", err)
 	}
-	var rec Record
-	if err := json.Unmarshal(data, &rec); err != nil {
+	rec, err := decodeRecord(data)
+	if err != nil {
 		return nil, fmt.Errorf("ledger: parse %s: %w", path, err)
 	}
 	if err := rec.Verify(); err != nil {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}
-	return &rec, nil
+	return rec, nil
+}
+
+// readFileString reads a file straight into a string, so the decoded
+// record's strings can share its one copy of the file.
+func readFileString(path string) (string, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return "", err
+	}
+	defer f.Close()
+	var sb strings.Builder
+	if fi, err := f.Stat(); err == nil {
+		sb.Grow(int(fi.Size()))
+	}
+	_, err = io.Copy(&sb, f)
+	return sb.String(), err
 }

@@ -38,6 +38,7 @@ type Writer struct {
 
 	mu      sync.Mutex
 	f       *os.File
+	line    []byte // journal line scratch
 	entries map[Key]*Entry
 	errs    []error
 }
@@ -183,18 +184,14 @@ func (w *Writer) StripEquivalence() {
 
 // append journals one entry and indexes it (last write wins).
 func (w *Writer) append(e *Entry) {
-	data, err := json.Marshal(e)
-	if err != nil {
-		w.fail(fmt.Errorf("ledger: marshal entry %s: %w", e.Key(), err))
-		return
-	}
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	w.entries[e.Key()] = e
 	if w.f == nil {
 		return
 	}
-	if _, err := w.f.Write(append(data, '\n')); err != nil {
+	w.line = append(appendEntryJSON(w.line[:0], e), '\n')
+	if _, err := w.f.Write(w.line); err != nil {
 		w.errs = append(w.errs, fmt.Errorf("ledger: journal %s: %w", e.Key(), err))
 	}
 }
