@@ -54,12 +54,21 @@ func BenchmarkTableII(b *testing.B) {
 	}
 }
 
-// BenchmarkTableIII runs the full RQ2/RQ3 injection campaign (4 use
+// projectionCells runs the cells one projection reads, serially.
+func projectionCells(b *testing.B, keep func(campaign.CellRef) bool) []campaign.MatrixEntry {
+	entries, err := (&campaign.Runner{Workers: 1}).RunCellRefs(context.Background(), campaign.MatrixCells(keep))
+	if err != nil {
+		b.Fatal(err)
+	}
+	return entries
+}
+
+// BenchmarkTableIII runs the full RQ2/RQ3 injection campaign (17 use
 // cases x 2 non-vulnerable versions, fresh environment each) and renders
 // the table.
 func BenchmarkTableIII(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, err := campaign.RunTable3()
+		rows, err := campaign.Table3(projectionCells(b, campaign.InTable3))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -88,11 +97,11 @@ func BenchmarkFig3(b *testing.B) {
 	}
 }
 
-// BenchmarkFig4 runs the full RQ1 validation (4 use cases x exploit and
-// injection on 4.6) and renders the comparison.
+// BenchmarkFig4 runs the full RQ1 validation (17 use cases x exploit
+// and injection on 4.6) and renders the comparison.
 func BenchmarkFig4(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, err := campaign.RunFig4()
+		rows, err := campaign.Fig4(projectionCells(b, campaign.InFig4))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -100,11 +109,12 @@ func BenchmarkFig4(b *testing.B) {
 	}
 }
 
-// BenchmarkFullMatrix runs the complete 24-run campaign the repro binary
-// prints with -matrix, on the serial (Workers: 1) path.
+// BenchmarkFullMatrix runs the complete 102-cell campaign the repro
+// binary prints with -matrix, on the serial (Workers: 1) path.
 func BenchmarkFullMatrix(b *testing.B) {
+	r := &campaign.Runner{Workers: 1}
 	for i := 0; i < b.N; i++ {
-		entries, err := campaign.RunMatrix()
+		entries, err := r.RunMatrixContext(context.Background())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -112,7 +122,7 @@ func BenchmarkFullMatrix(b *testing.B) {
 	}
 }
 
-// BenchmarkMatrixParallel runs the same 24-run campaign through the
+// BenchmarkMatrixParallel runs the same 102-cell campaign through the
 // parallel engine at increasing pool sizes. Output is byte-identical to
 // the serial path at every size; on a machine with >= 4 CPUs the larger
 // pools should cut wall-clock time by the core count (each cell is an
@@ -123,7 +133,7 @@ func BenchmarkMatrixParallel(b *testing.B) {
 		b.Run(fmt.Sprintf("workers-%d", w), func(b *testing.B) {
 			r := &campaign.Runner{Workers: w}
 			for i := 0; i < b.N; i++ {
-				entries, err := r.RunMatrix()
+				entries, err := r.RunMatrixContext(context.Background())
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -133,7 +143,7 @@ func BenchmarkMatrixParallel(b *testing.B) {
 	}
 }
 
-// BenchmarkMatrixTelemetry runs the 24-run campaign with telemetry off
+// BenchmarkMatrixTelemetry runs the 102-cell campaign with telemetry off
 // (nil registry: every instrumented path takes the predicted-not-taken
 // nil branch), on (per-cell recorder, ring events, counter merges
 // into the shared registry), and on with the live observability server
@@ -161,7 +171,7 @@ func BenchmarkMatrixTelemetry(b *testing.B) {
 			if withCov {
 				r.Coverage = coverage.NewCollector()
 			}
-			entries, err := r.RunMatrix()
+			entries, err := r.RunMatrixContext(context.Background())
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -3,13 +3,16 @@ package repro
 import (
 	"bufio"
 	"context"
+	"crypto/sha256"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -492,51 +495,138 @@ func TestCLISmoke(t *testing.T) {
 		}
 	})
 
-	// -matrix -equivalence runs the matrix once: one queued batch, a
-	// 102-cell trace, and the committed coverage digest (a second run
-	// would double the coverage cells and change the digest).
-	t.Run("matrix-equivalence-one-run", func(t *testing.T) {
-		tmp := t.TempDir()
-		cov, trace, logFile := filepath.Join(tmp, "cov.json"), filepath.Join(tmp, "trace.jsonl"), filepath.Join(tmp, "run.log")
-		out, err := exec.Command(filepath.Join(dir, "repro"), "-matrix", "-equivalence",
-			"-coverage", cov, "-trace", trace, "-log", logFile).CombinedOutput()
-		if err != nil {
-			t.Fatalf("repro -matrix -equivalence: %v\n%s", err, out)
+	// One campaign per invocation: every view a run prints is a
+	// projection of one batch holding the union of the cells the views
+	// read — one queued batch, and a trace with every cell exactly once.
+	// -matrix -equivalence also pins the committed coverage digest (a
+	// second run would double the coverage cells and change it).
+	t.Run("one-campaign-per-invocation", func(t *testing.T) {
+		for _, tc := range []struct {
+			name  string
+			args  []string
+			cells int
+		}{
+			{"default", nil, 102},
+			{"json", []string{"-json"}, 102},
+			{"matrix-json-score", []string{"-matrix", "-json", "-score"}, 102},
+			{"matrix-equivalence", []string{"-matrix", "-equivalence"}, 102},
+			{"table3-score", []string{"-table", "3", "-score"}, 51},
+			{"table3", []string{"-table", "3"}, 34},
+			{"score", []string{"-score"}, 51},
+		} {
+			t.Run(tc.name, func(t *testing.T) {
+				tmp := t.TempDir()
+				cov, trace, logFile := filepath.Join(tmp, "cov.json"), filepath.Join(tmp, "trace.jsonl"), filepath.Join(tmp, "run.log")
+				args := append([]string{"-trace", trace, "-log", logFile, "-coverage", cov}, tc.args...)
+				out, err := exec.Command(filepath.Join(dir, "repro"), args...).CombinedOutput()
+				if err != nil {
+					t.Fatalf("repro %v: %v\n%s", args, err, out)
+				}
+				raw, err := os.ReadFile(logFile)
+				if err != nil {
+					t.Fatal(err)
+				}
+				batches := regexp.MustCompile(`"msg":"batch queued".*"cells":(\d+)`).FindAllStringSubmatch(string(raw), -1)
+				if len(batches) != 1 || batches[0][1] != strconv.Itoa(tc.cells) {
+					t.Errorf("batches %v, want one of %d cells:\n%s", batches, tc.cells, raw)
+				}
+				raw, err = os.ReadFile(trace)
+				if err != nil {
+					t.Fatal(err)
+				}
+				seen := map[string]bool{}
+				for _, m := range regexp.MustCompile(`"cell":"([^"]+)".*"kind":"cell_end"`).FindAllStringSubmatch(string(raw), -1) {
+					if seen[m[1]] {
+						t.Errorf("trace ends cell %s twice", m[1])
+					}
+					seen[m[1]] = true
+				}
+				if len(seen) != tc.cells {
+					t.Errorf("trace holds %d cells, want %d", len(seen), tc.cells)
+				}
+				if tc.name != "matrix-equivalence" {
+					return
+				}
+				for _, want := range []string{"FULL CAMPAIGN MATRIX", "TRACE EQUIVALENCE"} {
+					if !strings.Contains(string(out), want) {
+						t.Errorf("output missing %q:\n%s", want, out)
+					}
+				}
+				digest := func(path string) string {
+					data, err := os.ReadFile(path)
+					if err != nil {
+						t.Fatal(err)
+					}
+					var rep struct {
+						Digest string `json:"digest"`
+					}
+					if err := json.Unmarshal(data, &rep); err != nil {
+						t.Fatalf("%s: %v", path, err)
+					}
+					return rep.Digest
+				}
+				if got, want := digest(cov), digest("COVERAGE_matrix.json"); got != want {
+					t.Errorf("coverage digest %s, want the committed %s", got, want)
+				}
+			})
 		}
-		for _, want := range []string{"FULL CAMPAIGN MATRIX", "TRACE EQUIVALENCE"} {
-			if !strings.Contains(string(out), want) {
-				t.Errorf("output missing %q:\n%s", want, out)
-			}
-		}
-		raw, err := os.ReadFile(logFile)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if n := strings.Count(string(raw), `"msg":"batch queued"`); n != 1 {
-			t.Errorf("%d batch queued log lines, want 1:\n%s", n, raw)
-		}
-		raw, err = os.ReadFile(trace)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if n := strings.Count(string(raw), `"kind":"cell_end"`); n != 102 {
-			t.Errorf("trace holds %d cells, want 102", n)
-		}
-		digest := func(path string) string {
-			data, err := os.ReadFile(path)
+	})
+
+	// Stdout pins: the SHA-256 of each paper invocation's output at four
+	// workers. Every view is a projection of one campaign, so any byte
+	// a refactor of the engine or the projections moves shows here.
+	t.Run("stdout-pins", func(t *testing.T) {
+		for _, tc := range []struct {
+			args []string
+			sum  string
+		}{
+			{nil, "e088ea3e1feba52aff3e632779147a2f9a2d5b411bfda3924c6e2c32c8fe86ae"},
+			{[]string{"-table", "3"}, "ddaf62b6c5ed72847bda9f024d1784d6873c5f4240cab84280772455142730e0"},
+			{[]string{"-figure", "4"}, "adc1c558d263c4c56b7e88880e6ce29455db451988a8f3d2e523a8af0f3a8f0f"},
+			{[]string{"-score"}, "2896bb58693791ebde5443e4e1dba435cf544ec24e6a141ba9e75be1fb7f03ea"},
+			{[]string{"-json"}, "a8dae2a0f3a9db0d961b96b5d2268d25262f77afea5c8ea0ba84edde7cdd3c36"},
+			{[]string{"-matrix"}, "58d63003a16fc06e7e3d828d26dd85cf703b98f8966650b6bdd993b62f8b2842"},
+			{[]string{"-matrix", "-json", "-score"}, "a0661cfb62a7faba06802b3c882d820c7b1e1fef5c7f4af2c8b23b07c34d1dd3"},
+		} {
+			args := append([]string{"-workers", "4"}, tc.args...)
+			out, err := exec.Command(filepath.Join(dir, "repro"), args...).Output()
 			if err != nil {
-				t.Fatal(err)
+				t.Fatalf("repro %v: %v", args, err)
 			}
-			var rep struct {
-				Digest string `json:"digest"`
+			if got := fmt.Sprintf("%x", sha256.Sum256(out)); got != tc.sum {
+				t.Errorf("repro %v stdout sha256 %s, want %s", args, got, tc.sum)
 			}
-			if err := json.Unmarshal(data, &rep); err != nil {
-				t.Fatalf("%s: %v", path, err)
-			}
-			return rep.Digest
 		}
-		if got, want := digest(cov), digest("COVERAGE_matrix.json"); got != want {
-			t.Errorf("coverage digest %s, want the committed %s", got, want)
+	})
+
+	// The ledger renders the paper views from the settled record: a
+	// fresh run and a no-op resume print Table III, Fig. 4 and the
+	// scoreboard byte-equal to the live invocation.
+	t.Run("ledger-paper-views", func(t *testing.T) {
+		views := []string{"-table", "3", "-figure", "4", "-score"}
+		live, err := exec.Command(filepath.Join(dir, "repro"), views...).Output()
+		if err != nil {
+			t.Fatalf("repro %v: %v", views, err)
+		}
+		store := filepath.Join(t.TempDir(), "runs")
+		for _, extra := range [][]string{nil, {"-resume"}} {
+			cmd := exec.Command(filepath.Join(dir, "repro"), append(append([]string{"-ledger", store}, extra...), views...)...)
+			var stderr strings.Builder
+			cmd.Stderr = &stderr
+			out, err := cmd.Output()
+			if err != nil {
+				t.Fatalf("repro -ledger %v: %v\n%s", extra, err, stderr.String())
+			}
+			if string(out) != string(live) {
+				t.Errorf("repro -ledger %v views differ from the live run:\n--- ledger ---\n%s\n--- live ---\n%s", extra, out, live)
+			}
+			if extra != nil && !strings.Contains(stderr.String(), "102 cells reused, 0 to execute") {
+				t.Errorf("resume did not reuse the whole record:\n%s", stderr.String())
+			}
+		}
+		out, err := exec.Command(filepath.Join(dir, "repro"), "-ledger", store, "-json").CombinedOutput()
+		if err == nil || !strings.Contains(string(out), "renders from the run record") {
+			t.Errorf("-ledger -json: err=%v output:\n%s", err, out)
 		}
 	})
 

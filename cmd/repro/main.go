@@ -1,6 +1,10 @@
 // Command repro regenerates every table and figure of the paper from
 // live experiment runs against the simulated hypervisor.
 //
+// Table III, Fig. 4, the matrix, the scoreboard and the -json export
+// are projections of one campaign: each invocation runs the union of
+// the cells its flags need exactly once.
+//
 // Usage:
 //
 //	repro                    # everything
@@ -113,6 +117,7 @@
 //
 //	repro -ledger runs            # journal the matrix into a run-record store
 //	repro -ledger runs -resume    # delta rerun: only absent or changed cells
+//	repro -ledger runs -table 3 -figure 4 -score   # paper views from the record
 //
 // -ledger gives the campaign a deterministic, content-addressed run ID
 // (digest of the scenario-registry digest, version set, chaos seed,
@@ -122,7 +127,8 @@
 // <dir>/<run-id>/ as cells settle. The settled record is byte-identical
 // at any -workers count and fork path; -resume re-executes only cells
 // whose key is absent or whose registry spec changed and merges to
-// artifacts byte-identical to a full run. Inspect and diff records with
+// artifacts byte-identical to a full run. Every view -ledger prints is
+// rendered from the settled record. Inspect and diff records with
 // "tracecheck runs list|show|diff".
 //
 // Robustness:
@@ -282,13 +288,13 @@ func run(out io.Writer) (err error) {
 		return errors.New("-serve: requires -listen")
 	}
 	if *ledgerDir != "" {
-		// The ledger records exactly the full campaign matrix; selection
-		// flags would record a different experiment under the same run
-		// identity. Live-only captures (-trace, -spans) are rejected too:
-		// a delta rerun executes only a subset of cells, so those
+		// The ledger records exactly the full campaign matrix and renders
+		// its views from the settled record, which holds no transcripts
+		// or evidence. Live-only captures (-trace, -spans) are rejected
+		// too: a delta rerun executes only a subset of cells, so those
 		// artifacts could not merge to a full run's.
-		if *table != 0 || *figure != 0 || *fuzz != 0 || *score || *jsonOut || *avail || *corpus || *cellSpec != "" {
-			return errors.New("-ledger: runs the full matrix; drop -table/-figure/-fuzz/-score/-json/-availability/-corpus/-cell")
+		if *fuzz != 0 || *jsonOut || *avail || *corpus || *cellSpec != "" {
+			return errors.New("-ledger: renders from the run record; drop -json/-fuzz/-availability/-corpus/-cell")
 		}
 		if *traceOut != "" || *spansOut != "" {
 			return errors.New("-ledger: -trace and -spans are live captures and cannot merge across delta reruns")
@@ -466,13 +472,25 @@ func run(out io.Writer) (err error) {
 
 	// profiles accumulates every profiled cell in run order for -trace.
 	var profiles []*telemetry.CellProfile
-	collect := func(res *campaign.RunResult) {
-		if res != nil && res.Profile != nil {
-			profiles = append(profiles, res.Profile)
-		}
-	}
 
 	all := *table == 0 && *figure == 0 && !*matrix && *fuzz == 0 && !*score && !*jsonOut && !*avail && *cellSpec == "" && !*equivalence && !*corpus && *ledgerDir == ""
+	// Every matrix view is a projection of one campaign: refs, the union
+	// of the cells the requested views read, run once — or, under
+	// -ledger, the delta. -ledger prints the matrix unless a paper view
+	// is selected.
+	showTable3, showFig4 := all || *table == 3, all || *figure == 4
+	showMatrix := all || *matrix || (*ledgerDir != "" && *table == 0 && *figure == 0 && !*score)
+	var refs []campaign.CellRef
+	switch {
+	case *ledgerDir != "":
+		refs = delta.Rerun
+	case showMatrix || *equivalence || *jsonOut:
+		refs = campaign.MatrixCells(nil)
+	case showTable3 || showFig4 || *score:
+		refs = campaign.MatrixCells(func(c campaign.CellRef) bool {
+			return showTable3 && campaign.InTable3(c) || showFig4 && campaign.InFig4(c) || *score && campaign.InScores(c)
+		})
+	}
 	body := func() error {
 		if *cellSpec != "" {
 			v, useCase, mode, err := parseCell(*cellSpec)
@@ -483,12 +501,75 @@ func run(out io.Writer) (err error) {
 			if err != nil {
 				return fmt.Errorf("cell %s: %w", *cellSpec, err)
 			}
-			collect(res)
+			if res.Profile != nil {
+				profiles = append(profiles, res.Profile)
+			}
 			fmt.Fprintln(out, res.Verdict)
 			for _, line := range res.Verdict.Evidence {
 				fmt.Fprintf(out, "  %s\n", line)
 			}
 		}
+		if ledgerPrev != nil {
+			log.Printf("ledger: resume from run %s: %d cells reused, %d to execute (%d stale)",
+				ledgerPrev.RunID, len(delta.Reused), len(delta.Rerun), delta.Stale)
+			if ledgerPrev.RunID != runID {
+				ledgerW.Import(delta.Reused)
+			}
+		} else if *resume {
+			log.Print("ledger: no compatible prior run; executing the full matrix")
+		}
+		var entries []campaign.MatrixEntry
+		if len(refs) > 0 {
+			var err error
+			if entries, err = runner.RunCellRefs(ctx, refs); err != nil {
+				if ledgerW != nil {
+					// Close flushes what settled; a later -resume picks
+					// the journal up from exactly here.
+					ledgerW.Close()
+				}
+				return err
+			}
+			for _, e := range entries {
+				if e.Result != nil && e.Result.Profile != nil {
+					profiles = append(profiles, e.Result.Profile)
+				}
+			}
+		}
+		verdicts := func() ([]tracediff.CellVerdict, error) { return tracediff.MatrixEquivalence(entries) }
+		var rec *ledger.Record
+		if *ledgerDir != "" {
+			// Settle the record, grade equivalence from the persisted
+			// streams, and render every view from the settled record —
+			// full runs and resumed reruns share one rendering source, so
+			// merged artifacts are byte-identical.
+			if snap := ledgerW.Snapshot(); snap.Complete() && snap.Failed() == 0 {
+				graded, err := ledger.Equivalence(snap)
+				if err != nil {
+					ledgerW.Close()
+					return fmt.Errorf("ledger equivalence: %w", err)
+				}
+				ledgerW.RecordEquivalence(graded)
+			} else {
+				// A partial or failed matrix cannot carry verdicts
+				// inherited from a prior fully graded run.
+				ledgerW.StripEquivalence()
+			}
+			var err error
+			if rec, err = ledgerW.Close(); err != nil {
+				return fmt.Errorf("ledger: %w", err)
+			}
+			log.Printf("ledger: run %s settled %d/%d cells (record digest %s) in %s",
+				rec.RunID, rec.Completed, rec.Cells, rec.Digest, ledgerStore.RunDir(rec.RunID))
+			entries = rec.MatrixEntries()
+			verdicts = func() ([]tracediff.CellVerdict, error) {
+				v, ok := rec.EquivalenceVerdicts()
+				if !ok {
+					return nil, errors.New("run record is not fully graded (failed or missing cells)")
+				}
+				return v, nil
+			}
+		}
+
 		if all || *table == 1 {
 			t := fieldstudy.Classify(fieldstudy.Dataset())
 			if err := t.Verify(); err != nil {
@@ -502,10 +583,10 @@ func run(out io.Writer) (err error) {
 		if all || *corpus {
 			fmt.Fprintln(out, report.Corpus(fieldstudy.CorpusOf(exploits.Specs())))
 		}
-		if all || *table == 3 {
-			rows, err := runner.RunTable3Context(ctx)
+		if showTable3 {
+			rows, err := campaign.Table3(entries)
 			if err != nil {
-				return fmt.Errorf("table III campaign: %w", err)
+				return fmt.Errorf("table III: %w", err)
 			}
 			versions := make([]string, 0, 2)
 			for _, v := range campaign.Table3Versions() {
@@ -524,106 +605,28 @@ func run(out io.Writer) (err error) {
 		if all || *figure == 3 {
 			fmt.Fprintln(out, report.Fig3(inject.GuestWritablePageTableEntry))
 		}
-		if all || *figure == 4 {
-			rows, err := runner.RunFig4Context(ctx)
+		if showFig4 {
+			rows, err := campaign.Fig4(entries)
 			if err != nil {
-				return fmt.Errorf("figure 4 campaign: %w", err)
-			}
-			for _, row := range rows {
-				collect(row.Exploit)
-				collect(row.Injection)
+				return fmt.Errorf("figure 4: %w", err)
 			}
 			fmt.Fprintln(out, report.Fig4(rows))
 		}
-		if *ledgerDir != "" || all || *matrix || *equivalence {
-			// The matrix flow runs the campaign matrix at most once and
-			// renders the matrix, equivalence and coverage artifacts from
-			// that one run.
-			var (
-				entries  []campaign.MatrixEntry
-				verdicts func() ([]tracediff.CellVerdict, error)
-				rec      *ledger.Record
-			)
-			if *ledgerDir != "" {
-				// The ledger flow: execute the delta (the full matrix on a
-				// fresh run), settle the record, grade equivalence from
-				// the persisted streams, and render every artifact from
-				// the settled record — full runs and resumed reruns share
-				// one rendering source, so merged artifacts are
-				// byte-identical.
-				if ledgerPrev != nil {
-					log.Printf("ledger: resume from run %s: %d cells reused, %d to execute (%d stale)",
-						ledgerPrev.RunID, len(delta.Reused), len(delta.Rerun), delta.Stale)
-					if ledgerPrev.RunID != runID {
-						ledgerW.Import(delta.Reused)
-					}
-				} else if *resume {
-					log.Print("ledger: no compatible prior run; executing the full matrix")
-				}
-				if len(delta.Rerun) > 0 {
-					rerun, err := runner.RunCellRefs(ctx, delta.Rerun)
-					if err != nil {
-						// Close flushes what settled; a later -resume
-						// picks the journal up from exactly here.
-						ledgerW.Close()
-						return fmt.Errorf("ledger campaign: %w", err)
-					}
-					for _, e := range rerun {
-						collect(e.Result)
-					}
-				}
-				if snap := ledgerW.Snapshot(); snap.Complete() && snap.Failed() == 0 {
-					graded, err := ledger.Equivalence(snap)
-					if err != nil {
-						ledgerW.Close()
-						return fmt.Errorf("ledger equivalence: %w", err)
-					}
-					ledgerW.RecordEquivalence(graded)
-				} else {
-					// A partial or failed matrix cannot carry verdicts
-					// inherited from a prior fully graded run.
-					ledgerW.StripEquivalence()
-				}
-				var err error
-				if rec, err = ledgerW.Close(); err != nil {
-					return fmt.Errorf("ledger: %w", err)
-				}
-				log.Printf("ledger: run %s settled %d/%d cells (record digest %s) in %s",
-					rec.RunID, rec.Completed, rec.Cells, rec.Digest, ledgerStore.RunDir(rec.RunID))
-				entries = rec.MatrixEntries()
-				verdicts = func() ([]tracediff.CellVerdict, error) {
-					v, ok := rec.EquivalenceVerdicts()
-					if !ok {
-						return nil, errors.New("run record is not fully graded (failed or missing cells)")
-					}
-					return v, nil
-				}
-			} else {
-				var err error
-				if entries, err = runner.RunMatrixContext(ctx); err != nil {
-					return fmt.Errorf("full matrix: %w", err)
-				}
-				for _, e := range entries {
-					collect(e.Result)
-				}
-				verdicts = func() ([]tracediff.CellVerdict, error) { return tracediff.MatrixEquivalence(entries) }
+		if showMatrix {
+			fmt.Fprintln(out, report.Matrix(entries))
+		}
+		if *equivalence {
+			v, err := verdicts()
+			if err != nil {
+				return fmt.Errorf("equivalence: %w", err)
 			}
-			if *ledgerDir != "" || all || *matrix {
-				fmt.Fprintln(out, report.Matrix(entries))
+			if err := renderEquivalence(out, v); err != nil {
+				return err
 			}
-			if *equivalence {
-				v, err := verdicts()
-				if err != nil {
-					return fmt.Errorf("equivalence: %w", err)
-				}
-				if err := renderEquivalence(out, v); err != nil {
-					return err
-				}
-			}
-			if rec != nil && *covOut != "" {
-				if err := renderCoverage(out, *covOut, rec.CoverageReport()); err != nil {
-					return err
-				}
+		}
+		if rec != nil && *covOut != "" {
+			if err := renderCoverage(out, *covOut, rec.CoverageReport()); err != nil {
+				return err
 			}
 		}
 		if *fuzz > 0 {
@@ -639,14 +642,14 @@ func run(out io.Writer) (err error) {
 			}
 		}
 		if *score {
-			scores, err := runner.SecurityBenchmarkContext(ctx)
+			scores, err := campaign.Scores(entries)
 			if err != nil {
 				return fmt.Errorf("security benchmark: %w", err)
 			}
 			fmt.Fprintln(out, report.Scoreboard(scores))
 		}
 		if *jsonOut {
-			if err := runner.ExportMatrixContext(ctx, out); err != nil {
+			if err := campaign.Export(out, entries, runner.Faults.Seed(), runner.ContinueOnError); err != nil {
 				return fmt.Errorf("json export: %w", err)
 			}
 		}
@@ -709,7 +712,7 @@ func run(out io.Writer) (err error) {
 				log.Printf("wrote %d-cell trace to %s", len(profiles), *traceOut)
 			}
 		case bodyErr == nil:
-			flushErrs = append(flushErrs, errors.New("-trace: no profiled cells ran (combine -trace with -matrix, -figure 4, or -cell)"))
+			flushErrs = append(flushErrs, errors.New("-trace: no campaign cells ran (-table 1, -table 2, -figure 1..3, -corpus, -fuzz and -availability run none)"))
 		}
 	}
 	if *metrics {

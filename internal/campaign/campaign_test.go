@@ -1,6 +1,7 @@
 package campaign
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -55,15 +56,22 @@ var paperResults = map[string]map[string]map[Mode]expectation{
 	},
 }
 
+// serialMatrix runs the full campaign on the serial path.
+func serialMatrix(t *testing.T) []MatrixEntry {
+	t.Helper()
+	entries, err := (&Runner{Workers: 1}).RunMatrixContext(context.Background())
+	if err != nil {
+		t.Fatalf("RunMatrixContext: %v", err)
+	}
+	return entries
+}
+
 // TestFullMatrixMatchesPaper is the headline integration test: all 102
 // (version, use case, mode) cells produce the expected results — the
 // paper's reported numbers for the original scenarios, the pinned
 // family shapes for the corpus extensions.
 func TestFullMatrixMatchesPaper(t *testing.T) {
-	entries, err := RunMatrix()
-	if err != nil {
-		t.Fatalf("RunMatrix: %v", err)
-	}
+	entries := serialMatrix(t)
 	if len(entries) != 102 {
 		t.Fatalf("matrix has %d entries, want 102", len(entries))
 	}
@@ -83,9 +91,9 @@ func TestFullMatrixMatchesPaper(t *testing.T) {
 // TestFig4Equivalence asserts RQ1: on 4.6 the injected states and the
 // resulting violations are the same as the exploits'.
 func TestFig4Equivalence(t *testing.T) {
-	rows, err := RunFig4()
+	rows, err := Fig4(serialMatrix(t))
 	if err != nil {
-		t.Fatalf("RunFig4: %v", err)
+		t.Fatalf("Fig4: %v", err)
 	}
 	if len(rows) != 17 {
 		t.Fatalf("fig4 rows = %d, want 17", len(rows))
@@ -108,9 +116,9 @@ func TestFig4Equivalence(t *testing.T) {
 // TestTable3 asserts the published Table III shape: every injected state
 // lands on both versions; 4.13 handles XSA-212-priv and XSA-182-test.
 func TestTable3(t *testing.T) {
-	rows, err := RunTable3()
+	rows, err := Table3(serialMatrix(t))
 	if err != nil {
-		t.Fatalf("RunTable3: %v", err)
+		t.Fatalf("Table3: %v", err)
 	}
 	want := map[string]map[string]Table3Cell{
 		"XSA-212-crash": {"4.8": {true, true}, "4.13": {true, true}},
@@ -201,7 +209,7 @@ func TestInjectorAbsentOnExploitBuilds(t *testing.T) {
 // additionally handles XSA-212-priv and XSA-182-test (resilience 3/17);
 // all injections succeed everywhere.
 func TestSecurityBenchmark(t *testing.T) {
-	scores, err := SecurityBenchmark()
+	scores, err := Scores(serialMatrix(t))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -88,13 +88,9 @@ func TestChaosArtifactDeterministicAcrossWorkerCounts(t *testing.T) {
 	export := func(workers int) []byte {
 		t.Helper()
 		plan := faults.NewPlan(seed, faults.DefaultDensity)
-		r := &campaign.Runner{Workers: workers, ContinueOnError: true, Faults: plan}
-		var buf bytes.Buffer
-		if err := r.ExportMatrixContext(context.Background(), &buf); err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
+		artifact := exportMatrix(t, &campaign.Runner{Workers: workers, ContinueOnError: true, Faults: plan})
 		plan.ReleaseAll()
-		return buf.Bytes()
+		return artifact
 	}
 	ref := export(1)
 	if !bytes.Contains(ref, []byte(`"fault_plan_seed": 7`)) {
@@ -165,7 +161,7 @@ func TestWatchdogClassifiesWedgedCellAsHang(t *testing.T) {
 	const target = "4.6/XSA-182-test/exploit"
 	plan := faults.NewPlan(0, 0).ArmCell(target, faults.SiteWedge, 1)
 	r := &campaign.Runner{Workers: 1, CellTimeout: 50 * time.Millisecond, Faults: plan}
-	_, err := r.Run(hv.Version46(), "XSA-182-test", campaign.ModeExploit)
+	_, err := r.RunContext(context.Background(), hv.Version46(), "XSA-182-test", campaign.ModeExploit)
 	var ce *campaign.CellError
 	if !errors.As(err, &ce) {
 		t.Fatalf("err = %v, want a *CellError", err)

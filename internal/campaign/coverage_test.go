@@ -9,6 +9,7 @@ package campaign_test
 // changed, never scheduling.
 
 import (
+	"context"
 	"encoding/json"
 	"strings"
 	"testing"
@@ -30,7 +31,7 @@ func matrixCoverage(t *testing.T, workers int, seed int64) *coverage.Report {
 		r.Faults = plan
 		r.ContinueOnError = true
 	}
-	if _, err := r.RunMatrix(); err != nil {
+	if _, err := r.RunMatrixContext(context.Background()); err != nil {
 		t.Fatalf("workers=%d seed=%d: %v", workers, seed, err)
 	}
 	if plan != nil {

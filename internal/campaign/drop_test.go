@@ -7,6 +7,7 @@ package campaign_test
 // on scheduling.
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/campaign"
@@ -34,7 +35,7 @@ func matrixDropStats(t *testing.T, workers int) map[string][2]uint64 {
 	}
 	defer plan.ReleaseAll()
 	r := &campaign.Runner{Workers: workers, Telemetry: telemetry.NewRegistry(), Faults: plan}
-	entries, err := r.RunMatrix()
+	entries, err := r.RunMatrixContext(context.Background())
 	if err != nil {
 		t.Fatalf("workers=%d: %v", workers, err)
 	}

@@ -9,7 +9,7 @@ import (
 	"repro/internal/telemetry"
 )
 
-// The failure-semantics contract of runCells: serial (Workers: 1) and
+// The failure-semantics contract of runEntries: serial (Workers: 1) and
 // parallel pools agree exactly on a partially failing batch — every
 // valid cell still runs to completion, and the first error in cell
 // order is the one reported. The serial path used to stop at the first
@@ -34,9 +34,7 @@ func runBatch(t *testing.T, workers int) (string, uint64) {
 	t.Helper()
 	reg := telemetry.NewRegistry()
 	r := &Runner{Workers: workers, Telemetry: reg}
-	_, _, err := r.runCells(context.Background(), batchWithFailures(), func(c cell, err error) error {
-		return err
-	})
+	_, err := r.runEntries(context.Background(), batchWithFailures())
 	if err == nil {
 		t.Fatalf("workers=%d: batch with bogus cells succeeded", workers)
 	}

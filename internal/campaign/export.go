@@ -1,12 +1,10 @@
 package campaign
 
 import (
-	"context"
 	"encoding/json"
 	"fmt"
 	"io"
 
-	"repro/internal/exploits"
 	"repro/internal/telemetry"
 )
 
@@ -55,89 +53,47 @@ type ExportedCampaign struct {
 	ContinueOnError bool  `json:"continue_on_error,omitempty"`
 }
 
-// exportRun converts one result; exactly one of res and cerr is set.
-func exportRun(version, useCase string, mode Mode, res *RunResult, cerr *CellError) ExportedRun {
-	out := ExportedRun{
-		Version: version,
-		UseCase: useCase,
-		Mode:    string(mode),
-	}
-	if cerr != nil {
-		out.Error = cerr
+// exportRun converts one entry; exactly one of Result and Err is set.
+func exportRun(e MatrixEntry) ExportedRun {
+	out := ExportedRun{Version: e.Version, UseCase: e.UseCase, Mode: string(e.Mode), Error: e.Err}
+	res := e.Result
+	if res == nil {
 		return out
 	}
-	out.ErroneousState = res.Verdict.ErroneousState
-	out.SecurityViolation = res.Verdict.SecurityViolation
-	out.Handled = res.Verdict.Handled
-	out.Transcript = res.Outcome.Log
-	out.Evidence = res.Verdict.Evidence
+	v := res.Verdict
+	out.ErroneousState, out.SecurityViolation, out.Handled = v.ErroneousState, v.SecurityViolation, v.Handled
+	out.Transcript, out.Evidence = res.Outcome.Log, v.Evidence
 	if res.Outcome.Err != nil {
 		out.ScriptError = res.Outcome.Err.Error()
 	}
 	if p := res.Profile; p != nil {
-		out.WallNS = p.WallNS
-		out.Counters = p.Counters
-		out.DroppedEvents = p.DroppedEvents
+		out.WallNS, out.Counters, out.DroppedEvents = p.WallNS, p.Counters, p.DroppedEvents
 	}
 	return out
 }
 
-// ExportMatrix runs the full campaign serially and writes the JSON
-// artifact, including the per-version security-benchmark scores. Use a
-// Runner's ExportMatrix to spread the runs over a worker pool.
-func ExportMatrix(w io.Writer) error {
-	return (&Runner{Workers: 1}).ExportMatrix(w)
-}
-
-// ExportMatrix runs the full campaign across the pool and writes the
-// JSON artifact, including the per-version security-benchmark scores.
-func (r *Runner) ExportMatrix(w io.Writer) error {
-	return r.ExportMatrixContext(context.Background(), w)
-}
-
-// ExportMatrixContext is ExportMatrix under a context. Under
-// ContinueOnError the artifact always materializes: failed cells carry
-// their per-cell error records, and the benchmark scores are omitted
-// when the benchmark's own cells fail (the per-cell records already
-// describe the failures).
-func (r *Runner) ExportMatrixContext(ctx context.Context, w io.Writer) error {
-	return r.exportMatrixSpecs(ctx, w, nil)
-}
-
-// ExportMatrixSpecs is ExportMatrixContext scoped to an explicit
-// registry subset, like RunMatrixSpecs. The seed-identity regression
-// uses it to re-derive the frozen pre-expansion JSON artifact.
-func (r *Runner) ExportMatrixSpecs(ctx context.Context, w io.Writer, specs []exploits.Spec) error {
-	return r.exportMatrixSpecs(ctx, w, specs)
-}
-
-// exportMatrixSpecs materializes the artifact; a nil spec list means the
-// full registry.
-func (r *Runner) exportMatrixSpecs(ctx context.Context, w io.Writer, specs []exploits.Spec) error {
-	if specs == nil {
-		specs = campaignPlan().specs
-	}
-	entries, err := r.runMatrixSpecs(ctx, specs)
-	if err != nil {
+// Export writes the JSON artifact of a campaign's entries: every run,
+// plus the security-benchmark scores derived through Scores. faultSeed
+// and continueOnError record how the campaign ran. Under
+// continueOnError the artifact always materializes: failed cells carry
+// their per-cell error records, and the scores are omitted when one of
+// their cells failed (the per-cell records already describe the
+// failures).
+func Export(w io.Writer, entries []MatrixEntry, faultSeed int64, continueOnError bool) error {
+	scores, err := Scores(entries) // nil on error
+	if err != nil && !continueOnError {
 		return err
-	}
-	scores, err := r.securityBenchmarkSpecs(ctx, specs)
-	if err != nil {
-		if !r.ContinueOnError {
-			return err
-		}
-		scores = nil
 	}
 	artifact := ExportedCampaign{
 		Paper:           "Intrusion Injection for Virtualized Systems: Concepts and Approach (DSN 2023)",
 		Machine:         fmt.Sprintf("simulated PV hypervisor, %d frames, %d-frame domains", MachineFrames, DomainFrames),
 		Runs:            make([]ExportedRun, 0, len(entries)),
 		Scores:          scores,
-		FaultPlanSeed:   r.Faults.Seed(),
-		ContinueOnError: r.ContinueOnError,
+		FaultPlanSeed:   faultSeed,
+		ContinueOnError: continueOnError,
 	}
 	for _, e := range entries {
-		artifact.Runs = append(artifact.Runs, exportRun(e.Version, e.UseCase, e.Mode, e.Result, e.Err))
+		artifact.Runs = append(artifact.Runs, exportRun(e))
 	}
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")

@@ -2,6 +2,7 @@ package campaign
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"maps"
@@ -146,8 +147,12 @@ func TestOutcomeClassStrings(t *testing.T) {
 }
 
 func TestExportMatrixProducesValidArtifact(t *testing.T) {
+	entries, err := (&Runner{Workers: 1}).RunMatrixContext(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
 	var buf bytes.Buffer
-	if err := ExportMatrix(&buf); err != nil {
+	if err := Export(&buf, entries, 0, false); err != nil {
 		t.Fatal(err)
 	}
 	var artifact ExportedCampaign

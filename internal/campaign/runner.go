@@ -65,12 +65,12 @@ type Runner struct {
 	Faults *faults.Plan
 
 	// ContinueOnError keeps the campaign going past failing cells:
-	// instead of reporting the first error in cell order, RunMatrix and
-	// ExportMatrix carry a per-cell *CellError record for every failed
-	// cell alongside the successful results. Experiments whose row
-	// shapes need every cell (RunFig4, RunTable3, SecurityBenchmark)
-	// still run all cells but return the first failure. The default
-	// (false) preserves first-error-in-cell-order semantics exactly.
+	// instead of reporting the first error in cell order,
+	// RunMatrixContext and RunCellRefs carry a per-cell *CellError record
+	// for every failed cell alongside the successful results. Projections
+	// whose row shapes need every cell (Fig4, Table3, Scores) fail on the
+	// first failed cell they read. The default (false) preserves
+	// first-error-in-cell-order semantics exactly.
 	//
 	// A campaign that may outlive failing cells — ContinueOnError or a
 	// Faults plan — gives every cell a recorder, so each error or panic
@@ -227,6 +227,17 @@ func (e *CellError) Error() string { return string(e.Class) + ": " + e.Message }
 // Unwrap exposes the underlying error (nil for panics and hangs).
 func (e *CellError) Unwrap() error { return e.cause }
 
+// failure is how a failed cell surfaces as a caller's error. Plain
+// errors surface exactly as they always have (the cause, not the
+// record), preserving the engine's messages byte for byte; the classes
+// that used to kill or wedge the process surface as their records.
+func (e *CellError) failure() error {
+	if e.Class == FailError {
+		return e.cause
+	}
+	return e
+}
+
 // hexLiteral and goroutineID match the parts of a panic stack that vary
 // run to run (argument values, frame pointers, scheduler-assigned
 // goroutine numbers in "created by ... in goroutine N" lines) —
@@ -265,7 +276,6 @@ type cell struct {
 type plan struct {
 	specs      []exploits.Spec
 	scenarios  map[string]exploits.Scenario
-	order      []exploits.Scenario
 	guestNames []string
 	guestIPs   []string
 }
@@ -280,8 +290,7 @@ func campaignPlan() *plan {
 	planOnce.Do(func() {
 		p := &plan{scenarios: make(map[string]exploits.Scenario)}
 		p.specs = exploits.Specs()
-		p.order = exploits.Scenarios()
-		for _, s := range p.order {
+		for _, s := range exploits.Scenarios() {
 			p.scenarios[s.Name] = s
 		}
 		p.guestIPs = []string{"10.3.1.178", "10.3.1.179", AttackerIP}
@@ -292,6 +301,9 @@ func campaignPlan() *plan {
 	})
 	return sharedPlan
 }
+
+// ref names the cell.
+func (c cell) ref() CellRef { return CellRef{c.version.Name, c.useCase, c.mode} }
 
 // String renders the cell's trace identity, "version/use-case/mode".
 func (c cell) String() string {
@@ -622,11 +634,15 @@ func (r *Runner) announce(cells []cell) {
 	}
 }
 
-// runCellsDetailed executes a batch of cells and returns one outcome
-// per cell, in cell order, never failing as a whole: panics, hangs and
-// cancellation all land as per-cell records. On cancellation, cells
-// never dispatched are marked FailCanceled without running.
-func (r *Runner) runCellsDetailed(ctx context.Context, cells []cell) []cellOutcome {
+// runEntries executes a batch of cells and returns one entry per cell,
+// in cell order. Panics, hangs and cancellation all land as per-cell
+// records; on cancellation, cells never dispatched are marked
+// FailCanceled without running. Failure semantics are uniform across
+// pool sizes: every cell runs to completion and the first error in cell
+// order is reported, so serial and parallel runs of a partially failing
+// batch agree on the error. With ContinueOnError no error is reported;
+// failed entries carry their per-cell records in Err instead.
+func (r *Runner) runEntries(ctx context.Context, cells []cell) ([]MatrixEntry, error) {
 	outs := make([]cellOutcome, len(cells))
 	in := r.instrumentation()
 	r.announce(cells)
@@ -642,230 +658,88 @@ func (r *Runner) runCellsDetailed(ctx context.Context, cells []cell) []cellOutco
 		for i, c := range cells {
 			outs[i] = r.runGuarded(ctx, in, c, 0, queuedAt)
 		}
-		return outs
-	}
-	next := make(chan int)
-	var wg sync.WaitGroup
-	wg.Add(n)
-	for w := 0; w < n; w++ {
-		go func(w int) {
-			defer wg.Done()
-			for i := range next {
-				outs[i] = r.runGuarded(ctx, in, cells[i], w, queuedAt)
-			}
-		}(w)
-	}
-	for i := range cells {
-		select {
-		case next <- i:
-		case <-ctx.Done():
-			for j := i; j < len(cells); j++ {
-				id := cells[j].String()
-				outs[j] = r.settle(id, -1, time.Time{}, 0, 0, canceled(id, ctx.Err()))
-			}
-			close(next)
-			wg.Wait()
-			return outs
+	} else {
+		next := make(chan int)
+		var wg sync.WaitGroup
+		wg.Add(n)
+		for w := 0; w < n; w++ {
+			go func(w int) {
+				defer wg.Done()
+				for i := range next {
+					outs[i] = r.runGuarded(ctx, in, cells[i], w, queuedAt)
+				}
+			}(w)
 		}
+	dispatch:
+		for i := range cells {
+			select {
+			case next <- i:
+			case <-ctx.Done():
+				for j := i; j < len(cells); j++ {
+					id := cells[j].String()
+					outs[j] = r.settle(id, -1, time.Time{}, 0, 0, canceled(id, ctx.Err()))
+				}
+				break dispatch
+			}
+		}
+		close(next)
+		wg.Wait()
 	}
-	close(next)
-	wg.Wait()
-	return outs
-}
-
-// runCells executes a batch of cells and returns results in cell order.
-// wrap contextualizes a cell's error for the caller's experiment.
-// Failure semantics are uniform across pool sizes: every cell runs to
-// completion and the first error in cell order is reported, so serial
-// and parallel runs of a partially failing batch agree on the error.
-// With ContinueOnError no error is reported; the caller reads the
-// per-cell records instead.
-func (r *Runner) runCells(ctx context.Context, cells []cell, wrap func(cell, error) error) ([]*RunResult, []*CellError, error) {
-	outs := r.runCellsDetailed(ctx, cells)
-	results := make([]*RunResult, len(cells))
-	cerrs := make([]*CellError, len(cells))
+	entries := make([]MatrixEntry, len(cells))
 	for i, o := range outs {
-		results[i], cerrs[i] = o.res, o.err
-	}
-	if !r.ContinueOnError {
-		for i, ce := range cerrs {
-			if ce == nil {
-				continue
-			}
-			// Plain errors surface exactly as they always have (the
-			// cause, not the record), preserving the engine's
-			// first-error-in-cell-order messages byte for byte; the
-			// classes that used to kill or wedge the process surface
-			// as their records.
-			err := error(ce)
-			if ce.Class == FailError {
-				err = ce.cause
-			}
-			return nil, nil, wrap(cells[i], err)
+		c := cells[i]
+		if o.err != nil && !r.ContinueOnError {
+			return nil, fmt.Errorf("campaign: matrix %s: %w", c, o.err.failure())
 		}
+		entries[i] = MatrixEntry{Version: c.version.Name, UseCase: c.useCase, Mode: c.mode, Result: o.res, Err: o.err}
 	}
-	return results, cerrs, nil
+	return entries, nil
 }
 
-// firstFailure returns the first per-cell failure in cell order, nil if
-// every cell succeeded. Experiments whose row shapes need every cell
-// use it to fail even under ContinueOnError.
-func firstFailure(cells []cell, cerrs []*CellError, wrap func(cell, error) error) error {
-	for i, ce := range cerrs {
-		if ce != nil {
-			return wrap(cells[i], ce)
-		}
-	}
-	return nil
-}
-
-// Run executes one cell under the runner's telemetry and fault
+// RunContext executes one cell under the runner's telemetry and fault
 // configuration: the single-cell entry point behind the CLI's -cell
 // flag. It runs behind the same barriers as a campaign cell, so a
 // panicking or wedged cell reports a classified error instead of
-// killing the caller.
-func (r *Runner) Run(v hv.Version, useCase string, mode Mode) (*RunResult, error) {
-	return r.RunContext(context.Background(), v, useCase, mode)
-}
-
-// RunContext is Run under a context: cancellation classifies the cell
-// as canceled instead of letting it run to completion.
+// killing the caller, and cancellation classifies the cell as canceled
+// instead of letting it run to completion.
 func (r *Runner) RunContext(ctx context.Context, v hv.Version, useCase string, mode Mode) (*RunResult, error) {
 	out := r.runGuarded(ctx, r.instrumentation(), cell{version: v, useCase: useCase, mode: mode}, 0, time.Now())
 	if out.err != nil {
-		if out.err.Class == FailError {
-			return nil, out.err.cause
-		}
-		return nil, out.err
+		return nil, out.err.failure()
 	}
 	return out.res, nil
 }
 
-// RunFig4 executes the RQ1 experiment (every use case, exploit vs
-// injection, on the vulnerable 4.6 version) across the pool.
-func (r *Runner) RunFig4() ([]Fig4Row, error) {
-	return r.RunFig4Context(context.Background())
-}
+// modes orders a use case's cells: exploit before injection.
+var modes = [...]Mode{ModeExploit, ModeInjection}
 
-// applicable filters the registry to the specs scheduling cells on the
-// version.
-func applicable(specs []exploits.Spec, version string) []exploits.Spec {
-	out := make([]exploits.Spec, 0, len(specs))
-	for _, s := range specs {
-		if s.AppliesTo(version) {
-			out = append(out, s)
-		}
-	}
-	return out
-}
-
-// RunFig4Context is RunFig4 under a context: cancellation stops
-// dispatching cells and reports the first unfinished cell. The figure's
-// rows need every cell, so a failed cell is an error even under
-// ContinueOnError.
-func (r *Runner) RunFig4Context(ctx context.Context) ([]Fig4Row, error) {
-	v := hv.Version46()
-	specs := applicable(campaignPlan().specs, v.Name)
-	cells := make([]cell, 0, 2*len(specs))
-	for _, s := range specs {
-		cells = append(cells,
-			cell{v, s.Name, ModeExploit},
-			cell{v, s.Name, ModeInjection})
-	}
-	wrap := func(c cell, err error) error {
-		return fmt.Errorf("campaign: fig4 %s %s: %w", c.useCase, c.mode, err)
-	}
-	results, cerrs, err := r.runCells(ctx, cells, wrap)
-	if err != nil {
-		return nil, err
-	}
-	if err := firstFailure(cells, cerrs, wrap); err != nil {
-		return nil, err
-	}
-	rows := make([]Fig4Row, 0, len(specs))
-	for i, s := range specs {
-		ex, in := results[2*i], results[2*i+1]
-		rows = append(rows, Fig4Row{
-			UseCase:         s.Name,
-			Exploit:         ex,
-			Injection:       in,
-			StatesMatch:     ex.Verdict.ErroneousState == in.Verdict.ErroneousState,
-			ViolationsMatch: ex.Verdict.SecurityViolation == in.Verdict.SecurityViolation,
-		})
-	}
-	return rows, nil
-}
-
-// RunTable3 executes the RQ2/RQ3 injection campaign (every use case's
-// injection script against 4.8 and 4.13) across the pool.
-func (r *Runner) RunTable3() ([]Table3Row, error) {
-	return r.RunTable3Context(context.Background())
-}
-
-// RunTable3Context is RunTable3 under a context. The table's rows need
-// every cell, so a failed cell is an error even under ContinueOnError.
-func (r *Runner) RunTable3Context(ctx context.Context) ([]Table3Row, error) {
-	p := campaignPlan()
-	versions := Table3Versions()
-	cells := make([]cell, 0, len(p.specs)*len(versions))
-	for _, s := range p.specs {
-		for _, v := range versions {
-			if s.AppliesTo(v.Name) {
-				cells = append(cells, cell{v, s.Name, ModeInjection})
-			}
-		}
-	}
-	wrap := func(c cell, err error) error {
-		return fmt.Errorf("campaign: table3 %s on %s: %w", c.useCase, c.version.Name, err)
-	}
-	results, cerrs, err := r.runCells(ctx, cells, wrap)
-	if err != nil {
-		return nil, err
-	}
-	if err := firstFailure(cells, cerrs, wrap); err != nil {
-		return nil, err
-	}
-	rows := make([]Table3Row, 0, len(p.specs))
-	next := 0
-	for _, s := range p.specs {
-		row := Table3Row{UseCase: s.Name, Cells: make(map[string]Table3Cell, len(versions))}
-		for _, v := range versions {
+// matrixCells is the campaign's one cell enumerator: every cell keep
+// admits (nil admits all), in dispatch order — version-major, registry
+// spec order, exploit before injection.
+func matrixCells(keep func(CellRef) bool) []cell {
+	var cells []cell
+	for _, v := range hv.Versions() {
+		for _, s := range campaignPlan().specs {
 			if !s.AppliesTo(v.Name) {
 				continue
 			}
-			res := results[next]
-			next++
-			row.Cells[v.Name] = Table3Cell{
-				ErrState: res.Verdict.ErroneousState,
-				SecViol:  res.Verdict.SecurityViolation,
+			for _, mode := range modes {
+				if keep == nil || keep(CellRef{v.Name, s.Name, mode}) {
+					cells = append(cells, cell{v, s.Name, mode})
+				}
 			}
 		}
-		rows = append(rows, row)
 	}
-	return rows, nil
+	return cells
 }
 
-// RunMatrix executes the full campaign — every version, every registry
-// spec applicable to it, both modes, each cell in a fresh environment —
-// across the pool.
-func (r *Runner) RunMatrix() ([]MatrixEntry, error) {
-	return r.RunMatrixContext(context.Background())
-}
-
-// RunMatrixContext is RunMatrix under a context. Under ContinueOnError
-// it never fails: every cell appears in the returned entries, failed
-// ones carrying their *CellError in Err with a nil Result.
+// RunMatrixContext executes the full campaign — every version, every
+// registry spec applicable to it, both modes, each cell in a fresh
+// environment — across the pool. Under ContinueOnError it never fails:
+// every cell appears in the returned entries, failed ones carrying their
+// *CellError in Err with a nil Result.
 func (r *Runner) RunMatrixContext(ctx context.Context) ([]MatrixEntry, error) {
-	return r.runMatrixSpecs(ctx, campaignPlan().specs)
-}
-
-// RunMatrixSpecs is RunMatrixContext over an explicit spec list: the
-// same scheduling, dispatch and settle path as the full matrix, scoped
-// to a registry subset. The seed-identity regression uses it to run the
-// original paper scenarios alone and diff their artifacts against the
-// frozen pre-expansion output.
-func (r *Runner) RunMatrixSpecs(ctx context.Context, specs []exploits.Spec) ([]MatrixEntry, error) {
-	return r.runMatrixSpecs(ctx, specs)
+	return r.runEntries(ctx, matrixCells(nil))
 }
 
 // CellRef identifies one campaign cell by name — the resumable-campaign
@@ -893,104 +767,16 @@ func (r *Runner) RunCellRefs(ctx context.Context, refs []CellRef) ([]MatrixEntry
 		}
 		cells = append(cells, cell{v, ref.UseCase, ref.Mode})
 	}
-	results, cerrs, err := r.runCells(ctx, cells, func(c cell, err error) error {
-		return fmt.Errorf("campaign: matrix %s/%s/%s: %w", c.version.Name, c.useCase, c.mode, err)
-	})
-	if err != nil {
-		return nil, err
-	}
-	out := make([]MatrixEntry, len(cells))
+	return r.runEntries(ctx, cells)
+}
+
+// MatrixCells lists the campaign's cells that keep admits (nil admits
+// all), in the dispatch order RunCellRefs expects.
+func MatrixCells(keep func(CellRef) bool) []CellRef {
+	cells := matrixCells(keep)
+	refs := make([]CellRef, len(cells))
 	for i, c := range cells {
-		out[i] = MatrixEntry{Version: c.version.Name, UseCase: c.useCase, Mode: c.mode, Result: results[i], Err: cerrs[i]}
+		refs[i] = c.ref()
 	}
-	return out, nil
-}
-
-// runMatrixSpecs is RunMatrixContext over an explicit spec list, so the
-// seed-identity tests can run the original scenarios alone.
-func (r *Runner) runMatrixSpecs(ctx context.Context, specs []exploits.Spec) ([]MatrixEntry, error) {
-	var cells []cell
-	for _, v := range hv.Versions() {
-		for _, s := range specs {
-			if !s.AppliesTo(v.Name) {
-				continue
-			}
-			for _, mode := range []Mode{ModeExploit, ModeInjection} {
-				cells = append(cells, cell{v, s.Name, mode})
-			}
-		}
-	}
-	results, cerrs, err := r.runCells(ctx, cells, func(c cell, err error) error {
-		return fmt.Errorf("campaign: matrix %s/%s/%s: %w", c.version.Name, c.useCase, c.mode, err)
-	})
-	if err != nil {
-		return nil, err
-	}
-	out := make([]MatrixEntry, len(cells))
-	for i, c := range cells {
-		out[i] = MatrixEntry{Version: c.version.Name, UseCase: c.useCase, Mode: c.mode, Result: results[i], Err: cerrs[i]}
-	}
-	return out, nil
-}
-
-// SecurityBenchmark runs the injection campaign (all use cases) against
-// every version across the pool and aggregates per-version scores.
-func (r *Runner) SecurityBenchmark() ([]Score, error) {
-	return r.SecurityBenchmarkContext(context.Background())
-}
-
-// SecurityBenchmarkContext is SecurityBenchmark under a context. The
-// aggregate scores need every cell, so a failed cell is an error even
-// under ContinueOnError.
-func (r *Runner) SecurityBenchmarkContext(ctx context.Context) ([]Score, error) {
-	return r.securityBenchmarkSpecs(ctx, campaignPlan().specs)
-}
-
-// securityBenchmarkSpecs is SecurityBenchmarkContext over an explicit
-// spec list, so the seed-identity tests can score the original
-// scenarios alone.
-func (r *Runner) securityBenchmarkSpecs(ctx context.Context, specs []exploits.Spec) ([]Score, error) {
-	versions := hv.Versions()
-	cells := make([]cell, 0, len(versions)*len(specs))
-	for _, v := range versions {
-		for _, s := range specs {
-			if s.AppliesTo(v.Name) {
-				cells = append(cells, cell{v, s.Name, ModeInjection})
-			}
-		}
-	}
-	wrap := func(c cell, err error) error {
-		return fmt.Errorf("campaign: benchmark %s on %s: %w", c.useCase, c.version.Name, err)
-	}
-	results, cerrs, err := r.runCells(ctx, cells, wrap)
-	if err != nil {
-		return nil, err
-	}
-	if err := firstFailure(cells, cerrs, wrap); err != nil {
-		return nil, err
-	}
-	scores := make([]Score, 0, len(versions))
-	next := 0
-	for _, v := range versions {
-		s := Score{Version: v.Name}
-		for _, sp := range specs {
-			if !sp.AppliesTo(v.Name) {
-				continue
-			}
-			verdict := results[next].Verdict
-			next++
-			if !verdict.ErroneousState {
-				s.FailedInjections++
-				continue
-			}
-			s.StatesInjected++
-			if verdict.SecurityViolation {
-				s.Violations++
-			} else {
-				s.Handled++
-			}
-		}
-		scores = append(scores, s)
-	}
-	return scores, nil
+	return refs
 }

@@ -9,6 +9,7 @@ package campaign_test
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"testing"
 
@@ -18,19 +19,41 @@ import (
 
 var workerCounts = []int{1, 4, 8}
 
-func TestRunnerMatrixDeterministicAcrossWorkerCounts(t *testing.T) {
-	entries, err := campaign.RunMatrix()
+// runMatrix runs the full campaign on r.
+func runMatrix(t *testing.T, r *campaign.Runner) []campaign.MatrixEntry {
+	t.Helper()
+	entries, err := r.RunMatrixContext(context.Background())
 	if err != nil {
-		t.Fatalf("serial RunMatrix: %v", err)
+		t.Fatalf("Workers=%d RunMatrixContext: %v", r.Workers, err)
 	}
-	serial := report.Matrix(entries)
+	return entries
+}
+
+// exportMatrix runs the full campaign on r and returns its JSON
+// artifact.
+func exportMatrix(t *testing.T, r *campaign.Runner) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := campaign.Export(&buf, runMatrix(t, r), r.Faults.Seed(), r.ContinueOnError); err != nil {
+		t.Fatalf("Workers=%d Export: %v", r.Workers, err)
+	}
+	return buf.Bytes()
+}
+
+// fig4 runs the full campaign on r and projects Figure 4.
+func fig4(t *testing.T, r *campaign.Runner) []campaign.Fig4Row {
+	t.Helper()
+	rows, err := campaign.Fig4(runMatrix(t, r))
+	if err != nil {
+		t.Fatalf("Workers=%d Fig4: %v", r.Workers, err)
+	}
+	return rows
+}
+
+func TestRunnerMatrixDeterministicAcrossWorkerCounts(t *testing.T) {
+	serial := report.Matrix(runMatrix(t, &campaign.Runner{Workers: 1}))
 	for _, w := range workerCounts {
-		r := &campaign.Runner{Workers: w}
-		entries, err := r.RunMatrix()
-		if err != nil {
-			t.Fatalf("Workers=%d RunMatrix: %v", w, err)
-		}
-		if got := report.Matrix(entries); got != serial {
+		if got := report.Matrix(runMatrix(t, &campaign.Runner{Workers: w})); got != serial {
 			t.Errorf("Workers=%d matrix differs from serial:\n--- serial ---\n%s\n--- workers=%d ---\n%s",
 				w, serial, w, got)
 		}
@@ -39,18 +62,18 @@ func TestRunnerMatrixDeterministicAcrossWorkerCounts(t *testing.T) {
 
 func TestRunnerTable3DeterministicAcrossWorkerCounts(t *testing.T) {
 	versions := []string{"4.8", "4.13"}
-	rows, err := campaign.RunTable3()
-	if err != nil {
-		t.Fatalf("serial RunTable3: %v", err)
-	}
-	serial := report.TableIII(rows, versions)
-	for _, w := range workerCounts {
+	table := func(w int) string {
+		t.Helper()
 		r := &campaign.Runner{Workers: w}
-		rows, err := r.RunTable3()
+		rows, err := campaign.Table3(runMatrix(t, r))
 		if err != nil {
-			t.Fatalf("Workers=%d RunTable3: %v", w, err)
+			t.Fatalf("Workers=%d Table3: %v", w, err)
 		}
-		if got := report.TableIII(rows, versions); got != serial {
+		return report.TableIII(rows, versions)
+	}
+	serial := table(1)
+	for _, w := range workerCounts {
+		if got := table(w); got != serial {
 			t.Errorf("Workers=%d Table III differs from serial:\n--- serial ---\n%s\n--- workers=%d ---\n%s",
 				w, serial, w, got)
 		}
@@ -58,18 +81,9 @@ func TestRunnerTable3DeterministicAcrossWorkerCounts(t *testing.T) {
 }
 
 func TestRunnerFig4DeterministicAcrossWorkerCounts(t *testing.T) {
-	rows, err := campaign.RunFig4()
-	if err != nil {
-		t.Fatalf("serial RunFig4: %v", err)
-	}
-	serial := report.Fig4(rows)
+	serial := report.Fig4(fig4(t, &campaign.Runner{Workers: 1}))
 	for _, w := range workerCounts {
-		r := &campaign.Runner{Workers: w}
-		rows, err := r.RunFig4()
-		if err != nil {
-			t.Fatalf("Workers=%d RunFig4: %v", w, err)
-		}
-		if got := report.Fig4(rows); got != serial {
+		if got := report.Fig4(fig4(t, &campaign.Runner{Workers: w})); got != serial {
 			t.Errorf("Workers=%d Fig. 4 differs from serial:\n--- serial ---\n%s\n--- workers=%d ---\n%s",
 				w, serial, w, got)
 		}
@@ -77,30 +91,22 @@ func TestRunnerFig4DeterministicAcrossWorkerCounts(t *testing.T) {
 }
 
 func TestRunnerExportMatrixDeterministic(t *testing.T) {
-	var serial bytes.Buffer
-	if err := campaign.ExportMatrix(&serial); err != nil {
-		t.Fatalf("serial ExportMatrix: %v", err)
-	}
-	var parallel bytes.Buffer
-	r := &campaign.Runner{Workers: 6}
-	if err := r.ExportMatrix(&parallel); err != nil {
-		t.Fatalf("parallel ExportMatrix: %v", err)
-	}
-	if serial.String() != parallel.String() {
+	serial := exportMatrix(t, &campaign.Runner{Workers: 1})
+	if parallel := exportMatrix(t, &campaign.Runner{Workers: 6}); !bytes.Equal(serial, parallel) {
 		t.Error("parallel JSON export differs from serial")
 	}
 }
 
 func TestRunnerSecurityBenchmarkDeterministic(t *testing.T) {
-	serial, err := campaign.SecurityBenchmark()
-	if err != nil {
-		t.Fatalf("serial SecurityBenchmark: %v", err)
+	scores := func(w int) []campaign.Score {
+		t.Helper()
+		s, err := campaign.Scores(runMatrix(t, &campaign.Runner{Workers: w}))
+		if err != nil {
+			t.Fatalf("Workers=%d Scores: %v", w, err)
+		}
+		return s
 	}
-	r := &campaign.Runner{Workers: 4}
-	parallel, err := r.SecurityBenchmark()
-	if err != nil {
-		t.Fatalf("parallel SecurityBenchmark: %v", err)
-	}
+	serial, parallel := scores(1), scores(4)
 	if len(serial) != len(parallel) {
 		t.Fatalf("score count: serial %d, parallel %d", len(serial), len(parallel))
 	}
@@ -128,12 +134,7 @@ func TestRunnerUnknownUseCaseError(t *testing.T) {
 
 // A zero-value Runner must resolve to a positive pool size.
 func TestRunnerDefaultWorkers(t *testing.T) {
-	r := &campaign.Runner{}
-	rows, err := r.RunFig4()
-	if err != nil {
-		t.Fatalf("zero-value Runner RunFig4: %v", err)
-	}
-	if len(rows) != 17 {
+	if rows := fig4(t, &campaign.Runner{}); len(rows) != 17 {
 		t.Errorf("got %d Fig. 4 rows, want 17", len(rows))
 	}
 }
@@ -142,14 +143,8 @@ func TestRunnerDefaultWorkers(t *testing.T) {
 // surprising a library caller with a fan-out (the CLI rejects negatives
 // before they get here). The output must match the serial run exactly.
 func TestRunnerNegativeWorkersClampToSerial(t *testing.T) {
-	serial, err := (&campaign.Runner{Workers: 1}).RunFig4()
-	if err != nil {
-		t.Fatalf("serial RunFig4: %v", err)
-	}
-	neg, err := (&campaign.Runner{Workers: -3}).RunFig4()
-	if err != nil {
-		t.Fatalf("Workers=-3 RunFig4: %v", err)
-	}
+	serial := fig4(t, &campaign.Runner{Workers: 1})
+	neg := fig4(t, &campaign.Runner{Workers: -3})
 	if got, want := report.Fig4(neg), report.Fig4(serial); got != want {
 		t.Errorf("Workers=-3 output differs from serial:\n%s\nvs\n%s", got, want)
 	}

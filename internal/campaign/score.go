@@ -1,6 +1,10 @@
 package campaign
 
-import "fmt"
+import (
+	"fmt"
+
+	"repro/internal/hv"
+)
 
 // Score aggregates one version's behaviour under the injection campaign
 // into benchmark-style numbers — the "security benchmark for virtualized
@@ -36,10 +40,38 @@ func (s Score) String() string {
 		s.Version, s.StatesInjected, s.Violations, s.Handled, s.Resilience())
 }
 
-// SecurityBenchmark runs the injection campaign (all use cases) against
-// every version and aggregates the per-version scores. On the paper's
-// data the expected ranking is 4.13 (0.50) > 4.8 (0.00) = 4.6 (0.00).
-// Cells run serially; use a Runner to spread them over a worker pool.
-func SecurityBenchmark() ([]Score, error) {
-	return (&Runner{Workers: 1}).SecurityBenchmark()
+// InScores admits the cells the security benchmark reads: injection.
+func InScores(c CellRef) bool { return c.Mode == ModeInjection }
+
+// Scores projects the security benchmark: the injection campaign (all
+// use cases) against every version, aggregated per version. On the
+// paper's data the expected ranking is 4.13 (0.50) > 4.8 (0.00) = 4.6
+// (0.00).
+func Scores(entries []MatrixEntry) ([]Score, error) {
+	cells, err := project(entries, InScores, func(c CellRef, err error) error {
+		return fmt.Errorf("campaign: benchmark %s on %s: %w", c.UseCase, c.Version, err)
+	})
+	if err != nil {
+		return nil, err
+	}
+	var scores []Score
+	next := 0
+	for _, v := range hv.Versions() {
+		s := Score{Version: v.Name}
+		for ; next < len(cells) && cells[next].Version == v.Name; next++ {
+			verdict := cells[next].Result.Verdict
+			if !verdict.ErroneousState {
+				s.FailedInjections++
+				continue
+			}
+			s.StatesInjected++
+			if verdict.SecurityViolation {
+				s.Violations++
+			} else {
+				s.Handled++
+			}
+		}
+		scores = append(scores, s)
+	}
+	return scores, nil
 }

@@ -22,17 +22,23 @@ import (
 // byte of the original cells' output.
 var seedNames = []string{"XSA-212-crash", "XSA-212-priv", "XSA-148-priv", "XSA-182-test"}
 
-func seedSpecs(t *testing.T) []exploits.Spec {
+// seedMatrix runs the seed scenarios' cells alone, through the same
+// enumerator, dispatch and settle path as the full matrix.
+func seedMatrix(t *testing.T, r *campaign.Runner) []campaign.MatrixEntry {
 	t.Helper()
-	specs := make([]exploits.Spec, 0, len(seedNames))
+	seed := make(map[string]bool, len(seedNames))
 	for _, name := range seedNames {
-		s, err := exploits.SpecByName(name)
-		if err != nil {
+		if _, err := exploits.SpecByName(name); err != nil {
 			t.Fatalf("seed scenario %s missing from registry: %v", name, err)
 		}
-		specs = append(specs, s)
+		seed[name] = true
 	}
-	return specs
+	refs := campaign.MatrixCells(func(c campaign.CellRef) bool { return seed[c.UseCase] })
+	entries, err := r.RunCellRefs(context.Background(), refs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return entries
 }
 
 func seedFile(t *testing.T, name string) string {
@@ -47,11 +53,7 @@ func seedFile(t *testing.T, name string) string {
 // TestSeedMatrixByteIdentical diffs the rendered matrix of the original
 // twelve cells against the frozen seed artifact.
 func TestSeedMatrixByteIdentical(t *testing.T) {
-	r := &campaign.Runner{Workers: 1}
-	entries, err := r.RunMatrixSpecs(context.Background(), seedSpecs(t))
-	if err != nil {
-		t.Fatal(err)
-	}
+	entries := seedMatrix(t, &campaign.Runner{Workers: 1})
 	if got, want := report.Matrix(entries), seedFile(t, "matrix.txt"); got != want {
 		t.Errorf("seed matrix drifted from the frozen artifact:\n--- got ---\n%s\n--- want ---\n%s", got, want)
 	}
@@ -60,11 +62,7 @@ func TestSeedMatrixByteIdentical(t *testing.T) {
 // TestSeedEquivalenceByteIdentical diffs the rendered RQ2 equivalence
 // table of the original cells against the frozen seed artifact.
 func TestSeedEquivalenceByteIdentical(t *testing.T) {
-	r := &campaign.Runner{Workers: 4, Telemetry: telemetry.NewRegistry()}
-	entries, err := r.RunMatrixSpecs(context.Background(), seedSpecs(t))
-	if err != nil {
-		t.Fatal(err)
-	}
+	entries := seedMatrix(t, &campaign.Runner{Workers: 4, Telemetry: telemetry.NewRegistry()})
 	verdicts, err := tracediff.MatrixEquivalence(entries)
 	if err != nil {
 		t.Fatal(err)
@@ -79,8 +77,7 @@ func TestSeedEquivalenceByteIdentical(t *testing.T) {
 // against the frozen seed artifact.
 func TestSeedExportByteIdentical(t *testing.T) {
 	var buf bytes.Buffer
-	r := &campaign.Runner{Workers: 1}
-	if err := r.ExportMatrixSpecs(context.Background(), &buf, seedSpecs(t)); err != nil {
+	if err := campaign.Export(&buf, seedMatrix(t, &campaign.Runner{Workers: 1}), 0, false); err != nil {
 		t.Fatal(err)
 	}
 	if got, want := buf.String(), seedFile(t, "matrix.json"); got != want {

@@ -45,7 +45,7 @@ func EnableSnapshots(on bool) { snapshotsOff.Store(!on) }
 func SnapshotsEnabled() bool { return !snapshotsOff.Load() }
 
 // snapKey identifies one snapshot: the full version profile (not just
-// its name — Runner.Run accepts custom Version values) plus the mode,
+// its name — Runner.RunContext accepts custom Version values) plus the mode,
 // which decides whether the injector hypercall is compiled in.
 type snapKey struct {
 	version hv.Version

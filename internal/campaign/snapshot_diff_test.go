@@ -44,14 +44,11 @@ func TestForkVsFreshArtifactByteIdentical(t *testing.T) {
 			r.Faults = plan
 			r.ContinueOnError = true
 		}
-		var buf bytes.Buffer
-		if err := r.ExportMatrixContext(context.Background(), &buf); err != nil {
-			t.Fatalf("snapshots=%v workers=%d seed=%d: %v", snapshots, workers, seed, err)
-		}
+		artifact := exportMatrix(t, r)
 		if plan != nil {
 			plan.ReleaseAll()
 		}
-		return buf.Bytes()
+		return artifact
 	}
 	for _, seed := range []int64{-1, 7, 99} { // -1 = no fault plan
 		for _, w := range []int{1, 4, 8} {
@@ -80,7 +77,7 @@ func TestForkVsFreshCanonicalTracesIdentical(t *testing.T) {
 		set(snapshots)
 		reg := telemetry.NewRegistry()
 		r := &campaign.Runner{Workers: 4, Telemetry: reg}
-		if _, err := r.RunMatrix(); err != nil {
+		if _, err := r.RunMatrixContext(context.Background()); err != nil {
 			t.Fatalf("snapshots=%v: %v", snapshots, err)
 		}
 		out := make(map[string]string)
@@ -128,7 +125,7 @@ func TestForkVsFreshSpanForestIdentical(t *testing.T) {
 		set(snapshots)
 		col := span.NewCollector()
 		r := &campaign.Runner{Workers: workers, Spans: col}
-		if _, err := r.RunMatrix(); err != nil {
+		if _, err := r.RunMatrixContext(context.Background()); err != nil {
 			t.Fatalf("snapshots=%v workers=%d: %v", snapshots, workers, err)
 		}
 		return col.Forest().Canonical()

@@ -7,6 +7,7 @@ package campaign
 // are abandoned to the collector instead of returning to the pool.
 
 import (
+	"context"
 	"errors"
 	"strconv"
 	"strings"
@@ -64,7 +65,7 @@ func TestPanickedForkIsAbandonedNotPooled(t *testing.T) {
 	}
 	plan := faults.NewPlan(0, 0).ArmCell(id, faults.SiteHypercallPanic, 1)
 	r := &Runner{Workers: 1, Faults: plan}
-	_, err := r.Run(v, "XSA-182-test", ModeExploit)
+	_, err := r.RunContext(context.Background(), v, "XSA-182-test", ModeExploit)
 	var ce *CellError
 	if !errors.As(err, &ce) || ce.Class != FailPanic {
 		t.Fatalf("err = %v, want a FailPanic record", err)
@@ -91,7 +92,7 @@ func TestWedgedForkIsAbandonedNotPooled(t *testing.T) {
 	id := v.Name + "/XSA-182-test/exploit"
 	plan := faults.NewPlan(0, 0).ArmCell(id, faults.SiteWedge, 1)
 	r := &Runner{Workers: 1, CellTimeout: 50 * time.Millisecond, Faults: plan}
-	_, err := r.Run(v, "XSA-182-test", ModeExploit)
+	_, err := r.RunContext(context.Background(), v, "XSA-182-test", ModeExploit)
 	var ce *CellError
 	if !errors.As(err, &ce) || ce.Class != FailHang {
 		t.Fatalf("err = %v, want a FailHang record", err)

@@ -35,7 +35,7 @@ func matrixForest(t *testing.T, workers int, opts func(*campaign.Runner)) *span.
 		opts(r)
 	}
 	if _, err := r.RunMatrixContext(context.Background()); err != nil {
-		t.Fatalf("workers=%d RunMatrix: %v", workers, err)
+		t.Fatalf("workers=%d RunMatrixContext: %v", workers, err)
 	}
 	return r.Spans.Forest()
 }
@@ -153,7 +153,7 @@ func (l *latencyCounter) CellSettled(_ string, _ *campaign.RunResult, _ *campaig
 func TestDetectionLatencyHistogramWithoutSpans(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	lat := &latencyCounter{}
-	if _, err := (&campaign.Runner{Workers: 4, Telemetry: reg, Observer: lat}).RunMatrix(); err != nil {
+	if _, err := (&campaign.Runner{Workers: 4, Telemetry: reg, Observer: lat}).RunMatrixContext(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	want := lat.found.Load()
@@ -174,14 +174,14 @@ func TestDetectionLatencyHistogramWithoutSpans(t *testing.T) {
 // Installing the span collector must not perturb the campaign's
 // rendered artifact — spans observe the run, they don't participate.
 func TestMatrixOutputUnchangedBySpans(t *testing.T) {
-	plain, err := (&campaign.Runner{Workers: 4}).RunMatrix()
+	plain, err := (&campaign.Runner{Workers: 4}).RunMatrixContext(context.Background())
 	if err != nil {
-		t.Fatalf("plain RunMatrix: %v", err)
+		t.Fatalf("plain RunMatrixContext: %v", err)
 	}
 	r := &campaign.Runner{Workers: 4, Spans: span.NewCollector()}
-	spanned, err := r.RunMatrix()
+	spanned, err := r.RunMatrixContext(context.Background())
 	if err != nil {
-		t.Fatalf("spanned RunMatrix: %v", err)
+		t.Fatalf("spanned RunMatrixContext: %v", err)
 	}
 	if got, want := report.Matrix(spanned), report.Matrix(plain); got != want {
 		t.Errorf("matrix report changed when span collection was enabled:\n--- plain ---\n%s\n--- spanned ---\n%s", want, got)
@@ -192,7 +192,7 @@ func TestMatrixOutputUnchangedBySpans(t *testing.T) {
 // tree, latency measured.
 func TestRunSingleCellCollectsSpans(t *testing.T) {
 	r := &campaign.Runner{Workers: 1, Spans: span.NewCollector()}
-	if _, err := r.Run(campaign.Table3Versions()[0], "XSA-148-priv", campaign.ModeInjection); err != nil {
+	if _, err := r.RunContext(context.Background(), campaign.Table3Versions()[0], "XSA-148-priv", campaign.ModeInjection); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
 	f := r.Spans.Forest()

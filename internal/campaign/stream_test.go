@@ -185,12 +185,7 @@ func TestSchedSalvageRuleAcrossClasses(t *testing.T) {
 func TestSchedHooksDoNotPerturbArtifact(t *testing.T) {
 	export := func(sched campaign.SchedObserver) []byte {
 		t.Helper()
-		r := &campaign.Runner{Workers: 4, Sched: sched}
-		var buf bytes.Buffer
-		if err := r.ExportMatrixContext(context.Background(), &buf); err != nil {
-			t.Fatal(err)
-		}
-		return buf.Bytes()
+		return exportMatrix(t, &campaign.Runner{Workers: 4, Sched: sched})
 	}
 	ref := export(nil)
 	var logs bytes.Buffer

@@ -7,6 +7,7 @@ package campaign_test
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"reflect"
 	"testing"
@@ -20,7 +21,7 @@ import (
 func matrixProfiles(t *testing.T, workers int) map[string][]telemetry.CounterValue {
 	t.Helper()
 	r := &campaign.Runner{Workers: workers, Telemetry: telemetry.NewRegistry()}
-	entries, err := r.RunMatrix()
+	entries, err := r.RunMatrixContext(context.Background())
 	if err != nil {
 		t.Fatalf("workers=%d: %v", workers, err)
 	}
@@ -60,7 +61,7 @@ func TestPerCellCountersDeterministicAcrossWorkerCounts(t *testing.T) {
 // is closed by a cell_end summary.
 func TestMatrixTraceCoversEveryCell(t *testing.T) {
 	r := &campaign.Runner{Workers: 4, Telemetry: telemetry.NewRegistry()}
-	entries, err := r.RunMatrix()
+	entries, err := r.RunMatrixContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +117,7 @@ func TestMatrixTraceCoversEveryCell(t *testing.T) {
 func TestTraceEventOrderDeterministic(t *testing.T) {
 	trace := func(workers int) []telemetry.TraceRecord {
 		r := &campaign.Runner{Workers: workers, Telemetry: telemetry.NewRegistry()}
-		entries, err := r.RunMatrix()
+		entries, err := r.RunMatrixContext(context.Background())
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -153,14 +154,9 @@ func TestTraceEventOrderDeterministic(t *testing.T) {
 // per-run counters, and a plain runner's export has no telemetry keys
 // (so pre-telemetry artifacts remain byte-comparable).
 func TestExportCarriesTelemetryOnlyWhenProfiled(t *testing.T) {
-	var plain, profiled bytes.Buffer
-	if err := (&campaign.Runner{Workers: 4}).ExportMatrix(&plain); err != nil {
-		t.Fatal(err)
-	}
-	if err := (&campaign.Runner{Workers: 4, Telemetry: telemetry.NewRegistry()}).ExportMatrix(&profiled); err != nil {
-		t.Fatal(err)
-	}
-	if bytes.Contains(plain.Bytes(), []byte(`"counters"`)) || bytes.Contains(plain.Bytes(), []byte(`"wall_ns"`)) {
+	plain := exportMatrix(t, &campaign.Runner{Workers: 4})
+	profiled := exportMatrix(t, &campaign.Runner{Workers: 4, Telemetry: telemetry.NewRegistry()})
+	if bytes.Contains(plain, []byte(`"counters"`)) || bytes.Contains(plain, []byte(`"wall_ns"`)) {
 		t.Error("unprofiled export leaks telemetry fields")
 	}
 	var artifact struct {
@@ -171,11 +167,11 @@ func TestExportCarriesTelemetryOnlyWhenProfiled(t *testing.T) {
 			Counters []telemetry.CounterValue `json:"counters"`
 		} `json:"runs"`
 	}
-	if err := json.Unmarshal(profiled.Bytes(), &artifact); err != nil {
+	if err := json.Unmarshal(profiled, &artifact); err != nil {
 		t.Fatal(err)
 	}
 	if len(artifact.Runs) != 102 {
-		t.Fatalf("profiled export has %d runs, want 24", len(artifact.Runs))
+		t.Fatalf("profiled export has %d runs, want 102", len(artifact.Runs))
 	}
 	for _, run := range artifact.Runs {
 		if run.WallNS <= 0 || len(run.Counters) == 0 {

@@ -148,7 +148,7 @@ func (t *Timeline) CellSettled(cell string, worker int, queueNS, runNS int64, pr
 }
 
 // track returns the cell's /cells entry, adding it as pending on first
-// sight (single cells run via Runner.Run are never announced). Callers
+// sight (single cells run via Runner.RunContext are never announced). Callers
 // hold t.mu.
 func (t *Timeline) track(cell string) *CellState {
 	i, ok := t.index[cell]

@@ -278,7 +278,7 @@ func TestLiveEquivalenceMatchesBaseline(t *testing.T) {
 	}
 	for _, workers := range []int{1, 4} {
 		r := &campaign.Runner{Workers: workers, Telemetry: telemetry.NewRegistry()}
-		entries, err := r.RunMatrix()
+		entries, err := r.RunMatrixContext(context.Background())
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}

@@ -110,7 +110,7 @@ func TestServerLiveCampaign(t *testing.T) {
 	r := &campaign.Runner{Workers: 4, Telemetry: reg, Sched: tl}
 	done := make(chan error, 1)
 	go func() {
-		_, err := r.RunMatrix()
+		_, err := r.RunMatrixContext(context.Background())
 		done <- err
 	}()
 
@@ -200,7 +200,7 @@ func (p *profileSink) CellSettled(cell string, _ int, _, _ int64, profile *telem
 // semantics, its timeline served the way -listen does. /cells lists
 // each cell once, in announce order, with failed cells' class and
 // message and every profiled cell's telemetry activity. A later
-// Runner.Run cell, never announced, still joins a timeline's listing.
+// Runner.RunContext cell, never announced, still joins a timeline's listing.
 func TestCellsServedFromTimeline(t *testing.T) {
 	tl := events.NewTimeline()
 	srv := NewServer(nil)
@@ -216,7 +216,7 @@ func TestCellsServedFromTimeline(t *testing.T) {
 	sink := &profileSink{profiles: make(map[string]*telemetry.CellProfile)}
 	r := &campaign.Runner{Workers: 4, ContinueOnError: true, Faults: plan, Telemetry: telemetry.NewRegistry(),
 		Sched: events.Fanout{tl, sink}}
-	entries, err := r.RunMatrix()
+	entries, err := r.RunMatrixContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -264,11 +264,11 @@ func TestCellsServedFromTimeline(t *testing.T) {
 	}
 
 	solo := events.NewTimeline()
-	if _, err := (&campaign.Runner{Sched: solo}).Run(hv.Version46(), "XSA-148-priv", campaign.ModeInjection); err != nil {
+	if _, err := (&campaign.Runner{Sched: solo}).RunContext(context.Background(), hv.Version46(), "XSA-148-priv", campaign.ModeInjection); err != nil {
 		t.Fatal(err)
 	}
 	if got := solo.Cells(); len(got) != 1 || got[0].Cell != "4.6/XSA-148-priv/injection" || got[0].Status != events.StatusDone {
-		t.Errorf("unannounced Runner.Run cell listed as %+v", got)
+		t.Errorf("unannounced Runner.RunContext cell listed as %+v", got)
 	}
 }
 

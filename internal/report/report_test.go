@@ -1,6 +1,7 @@
 package report
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -100,7 +101,11 @@ func TestFig3ExecutesEquivalenceCheck(t *testing.T) {
 }
 
 func TestFig4Rendering(t *testing.T) {
-	rows, err := campaign.RunFig4()
+	entries, err := (&campaign.Runner{Workers: 1}).RunCellRefs(context.Background(), campaign.MatrixCells(campaign.InFig4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows, err := campaign.Fig4(entries)
 	if err != nil {
 		t.Fatal(err)
 	}
