@@ -26,7 +26,10 @@
 # detection latencies pinned — then drives a full -spans matrix through
 # the CLI, checks the summary carries the critical path and the RQ3
 # table, and validates the Perfetto trace with `tracecheck spans`. The
-# trace (spans-demo.json) is left behind for CI to attach on failure.
+# Chrome trace-event encoder lives in internal/events (both Perfetto
+# exports are projections of the scheduler timeline), so its span
+# projection tests run here too. The trace (spans-demo.json) is left
+# behind for CI to attach on failure.
 # `lint-scenarios` is the registry gate: the scenario-registry
 # invariants, lookup pins and corpus-distribution goldens — cheap, so it
 # runs before the expensive campaign gates and fails fast on a
@@ -122,6 +125,7 @@ equivalence: cover-matrix
 spans:
 	$(GO) test ./internal/span/
 	$(GO) test -run 'Span|Latency' ./internal/campaign/ ./internal/obs/ ./internal/report/
+	$(GO) test -run 'Chrome|Span' ./internal/events/
 	$(GO) run ./cmd/repro -matrix -workers 4 -spans spans-demo.json > spans-summary.txt
 	@grep -q 'CAUSAL SPAN SUMMARY' spans-summary.txt
 	@grep -q 'critical path: makespan=' spans-summary.txt

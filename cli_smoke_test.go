@@ -319,8 +319,72 @@ func TestCLISmoke(t *testing.T) {
 		if err != nil {
 			t.Fatalf("tracecheck spans: %v\n%s", err, out)
 		}
-		if !strings.Contains(string(out), "ok:") || !strings.Contains(string(out), "102 cells") {
-			t.Errorf("tracecheck spans output = %s, want ok across 102 cells", out)
+		// -spans alone arms the scheduler timeline that places the trees.
+		if !strings.Contains(string(out), "ok:") || !strings.Contains(string(out), "102 cells on 4 worker tracks") {
+			t.Errorf("tracecheck spans output = %s, want ok across 102 cells on 4 worker tracks", out)
+		}
+	})
+
+	// -spans and -schedule read one wall clock: every cell's root span
+	// sits on the track of the worker the schedule says ran it, and
+	// starts inside that cell's scheduled slot.
+	t.Run("spans-schedule-one-clock", func(t *testing.T) {
+		tmp := t.TempDir()
+		spans, sched := filepath.Join(tmp, "s.json"), filepath.Join(tmp, "w.json")
+		out, err := exec.Command(filepath.Join(dir, "repro"),
+			"-matrix", "-workers", "4", "-spans", spans, "-schedule", sched).CombinedOutput()
+		if err != nil {
+			t.Fatalf("repro -matrix -spans -schedule: %v\n%s", err, out)
+		}
+		type row struct {
+			Name  string         `json:"name"`
+			Cat   string         `json:"cat"`
+			Phase string         `json:"ph"`
+			TS    float64        `json:"ts"`
+			Dur   float64        `json:"dur"`
+			TID   int            `json:"tid"`
+			Args  map[string]any `json:"args"`
+		}
+		var spanRows []row
+		var schedFile struct {
+			TraceEvents []row `json:"traceEvents"`
+		}
+		for path, v := range map[string]any{spans: &spanRows, sched: &schedFile} {
+			raw, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := json.Unmarshal(raw, v); err != nil {
+				t.Fatalf("%s: %v", path, err)
+			}
+		}
+		slots := map[string]row{}
+		for _, ev := range schedFile.TraceEvents {
+			if ev.Phase == "X" {
+				slots[ev.Name] = ev
+			}
+		}
+		roots := 0
+		for _, r := range spanRows {
+			if r.Phase != "X" || r.Cat != "cell" {
+				continue
+			}
+			roots++
+			slot, ok := slots[r.Name]
+			if !ok {
+				t.Errorf("%s: root span has no scheduled slot", r.Name)
+				continue
+			}
+			if r.TID != slot.TID {
+				t.Errorf("%s: root span on tid %d, schedule ran it on tid %d", r.Name, r.TID, slot.TID)
+			}
+			// Both exports round to the microsecond.
+			if r.TS < slot.TS-1 || r.TS > slot.TS+slot.Dur+1 {
+				t.Errorf("%s: root span at %.3fus outside its slot [%.3f, %.3f]us", r.Name, r.TS, slot.TS, slot.TS+slot.Dur)
+			}
+		}
+		if roots != 102 || len(slots) != 102 {
+			t.Errorf("%d root spans against %d scheduled cells, want 102 each", roots, len(slots))
 		}
 	})
 

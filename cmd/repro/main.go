@@ -52,9 +52,10 @@
 // hypercall/mm-op, with the monitor's audit pass nested in assess),
 // writes the forest as Chrome trace-event JSON — load it in Perfetto
 // (ui.perfetto.dev) or chrome://tracing; each campaign worker renders
-// as its own track — and prints the deterministic span summary:
-// per-phase virtual totals, the critical-path analysis of each batch at
-// the configured pool size, and the per-cell detection-latency table.
+// as its own track, placed by the same scheduler timeline -schedule
+// exports — and prints the deterministic span summary: per-phase
+// virtual totals, the critical-path analysis of the campaign at the
+// configured pool size, and the per-cell detection-latency table.
 // Span structure is measured in virtual time (the per-cell event
 // counter), so it is byte-identical at any -workers value.
 //
@@ -383,7 +384,8 @@ func run(out io.Writer) (err error) {
 
 	// The wall-clock observability plane: the event bus backs the SSE
 	// /events stream, the scheduler timeline backs -schedule, /schedule
-	// and /cells, the flight recorder (armed whenever the campaign may
+	// and /cells and places the -spans trees on the wall clock, the
+	// flight recorder (armed whenever the campaign may
 	// outlive failing cells) dumps each failure's last events the moment
 	// the engine settles it, and -log logs the schedule. All hang off
 	// the runner's Sched sink and observe wall time only — none of it
@@ -400,7 +402,7 @@ func run(out io.Writer) (err error) {
 		publisher = &events.Publisher{Bus: bus}
 		sched = append(sched, publisher)
 	}
-	if *scheduleOut != "" || *listenAddr != "" {
+	if *scheduleOut != "" || *listenAddr != "" || *spansOut != "" {
 		timeline = events.NewTimeline()
 		sched = append(sched, timeline)
 	}
@@ -723,7 +725,7 @@ func run(out io.Writer) (err error) {
 		if cerr := forest.Check(); cerr != nil {
 			flushErrs = append(flushErrs, fmt.Errorf("spans: invariant violation: %w", cerr))
 		}
-		if werr := writeFile(*spansOut, "spans", func(w io.Writer) error { return span.WriteChrome(w, forest) }); werr != nil {
+		if werr := writeFile(*spansOut, "spans", func(w io.Writer) error { return timeline.WriteSpansChrome(w, forest) }); werr != nil {
 			flushErrs = append(flushErrs, werr)
 		} else {
 			log.Printf("wrote span trace to %s (open in ui.perfetto.dev)", *spansOut)

@@ -20,20 +20,8 @@ import (
 
 // schedFile is the object form `repro -schedule` writes.
 type schedFile struct {
-	TraceEvents []schedEvent    `json:"traceEvents"`
+	TraceEvents []traceRow      `json:"traceEvents"`
 	Schedule    events.Schedule `json:"schedule"`
-}
-
-// schedEvent is the subset of trace-event fields sched mode checks.
-type schedEvent struct {
-	Name  string         `json:"name"`
-	Cat   string         `json:"cat"`
-	Phase string         `json:"ph"`
-	TS    float64        `json:"ts"`
-	Dur   float64        `json:"dur"`
-	PID   int            `json:"pid"`
-	TID   int            `json:"tid"`
-	Args  map[string]any `json:"args"`
 }
 
 func validateSched(path string) {

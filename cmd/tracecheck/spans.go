@@ -7,9 +7,9 @@ import (
 	"os"
 )
 
-// chromeRow mirrors one Chrome trace-event line of a `repro -spans`
-// artifact for validation.
-type chromeRow struct {
+// traceRow mirrors one Chrome trace-event row of a `repro -spans` or
+// `repro -schedule` artifact for validation.
+type traceRow struct {
 	Name  string         `json:"name"`
 	Cat   string         `json:"cat"`
 	Phase string         `json:"ph"`
@@ -30,7 +30,7 @@ func validateSpans(path string) {
 	if err != nil {
 		log.Fatal(err)
 	}
-	var rows []chromeRow
+	var rows []traceRow
 	if err := json.Unmarshal(raw, &rows); err != nil {
 		log.Fatalf("%s: not a Chrome trace-event JSON array: %v", path, err)
 	}

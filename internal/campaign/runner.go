@@ -465,7 +465,7 @@ func canceled(id string, err error) cellOutcome {
 func (r *Runner) runGuarded(ctx context.Context, in instrumentation, c cell, worker int, queuedAt time.Time) cellOutcome {
 	id := c.String()
 	if err := ctx.Err(); err != nil {
-		return r.settle(id, -1, time.Time{}, 0, 0, canceled(id, err))
+		return r.settle(id, -1, 0, 0, canceled(id, err))
 	}
 	var inj *faults.Injector
 	if r.Faults != nil {
@@ -553,7 +553,7 @@ func (r *Runner) runGuarded(ctx context.Context, in instrumentation, c cell, wor
 		abandoned.Store(true)
 		out = canceled(id, ctx.Err())
 	}
-	return r.settle(id, worker, began, queueNS, time.Since(began), out)
+	return r.settle(id, worker, queueNS, time.Since(began), out)
 }
 
 // settle is the one funnel every cell outcome — success, error, panic,
@@ -561,20 +561,13 @@ func (r *Runner) runGuarded(ctx context.Context, in instrumentation, c cell, wor
 // once. It files the outcome in a fixed order: spans, the telemetry
 // registry, coverage, Observer, Sched. Abandoned cells (hang, cancel
 // while running) carry no tree, map or profile — the racing goroutine
-// keeps them — so the span stub records only worker, wall placement
-// and failure class, and coverage settles a nil map as empty coverage
-// deterministically. Cells never dispatched (worker -1) ran nothing and
-// get no span stub.
-func (r *Runner) settle(id string, worker int, began time.Time, queueNS int64, wall time.Duration, out cellOutcome) cellOutcome {
+// keeps them — so the span stub records only the failure class, and
+// coverage settles a nil map as empty coverage deterministically. Cells
+// never dispatched (worker -1) ran nothing and get no span stub. Worker
+// and wall placement go to Sched alone.
+func (r *Runner) settle(id string, worker int, queueNS int64, wall time.Duration, out cellOutcome) cellOutcome {
 	if r.Spans != nil && worker >= 0 {
-		cs := &span.CellSpans{
-			Cell:     id,
-			Worker:   worker,
-			OffsetNS: began.Sub(r.Spans.Epoch()).Nanoseconds(),
-			WallNS:   wall.Nanoseconds(),
-			Latency:  out.latency,
-			Tree:     out.tree,
-		}
+		cs := &span.CellSpans{Cell: id, Latency: out.latency, Tree: out.tree}
 		if out.err != nil {
 			cs.Class = string(out.err.Class)
 		}
@@ -624,10 +617,10 @@ func (r *Runner) announce(cells []cell) {
 		ids[i] = c.String()
 	}
 	if r.Spans != nil {
-		r.Spans.StartBatch(ids)
+		r.Spans.Announce(ids)
 	}
 	if r.Coverage != nil {
-		r.Coverage.StartBatch(ids)
+		r.Coverage.Announce(ids)
 	}
 	if r.Sched != nil {
 		r.Sched.BatchQueued(ids)
@@ -677,7 +670,7 @@ func (r *Runner) runEntries(ctx context.Context, cells []cell) ([]MatrixEntry, e
 			case <-ctx.Done():
 				for j := i; j < len(cells); j++ {
 					id := cells[j].String()
-					outs[j] = r.settle(id, -1, time.Time{}, 0, 0, canceled(id, ctx.Err()))
+					outs[j] = r.settle(id, -1, 0, 0, canceled(id, ctx.Err()))
 				}
 				break dispatch
 			}

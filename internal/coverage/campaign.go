@@ -8,83 +8,57 @@ import (
 	"sync"
 )
 
-// Collector aggregates per-cell coverage maps across a campaign. It
-// mirrors span.Collector's batch discipline: the runner announces each
-// batch's cells in dispatch order via StartBatch, workers hand in
-// finished maps via FinishCell in whatever order they complete, and
-// Report settles everything into dispatch order — so union membership,
-// first-witness cells and per-cell new-edge attribution are identical
-// at any worker count.
+// Collector aggregates per-cell coverage maps across a campaign as one
+// ordered cell list: the runner announces the campaign's cells in
+// dispatch order via Announce, workers hand in finished maps via
+// FinishCell in whatever order they complete, and Report settles
+// everything into dispatch order — so union membership, first-witness
+// cells and per-cell new-edge attribution are identical at any worker
+// count. A cell settling without an announcement (the single-run path)
+// appends at the end.
 type Collector struct {
-	mu      sync.Mutex
-	batches []*batch
+	mu    sync.Mutex
+	cells []cellSlot
+	index map[string]int
 }
 
-type batch struct {
-	order []string
-	cells map[string]*cellEntry
-}
-
-type cellEntry struct {
-	m *Map
-	// edges, when non-nil, is the cell's settled edge list, used in
-	// place of m (see FinishCellEdges).
-	edges []Edge
-	done  bool
+// cellSlot is one announced or settled cell.
+type cellSlot struct {
+	cell string
+	m    *Map
+	done bool
 }
 
 // NewCollector returns an empty campaign coverage collector.
-func NewCollector() *Collector { return &Collector{} }
+func NewCollector() *Collector { return &Collector{index: make(map[string]int)} }
 
-// StartBatch announces the next batch of cells in dispatch order.
-func (c *Collector) StartBatch(cells []string) {
+// Announce appends cells in dispatch order, as unsettled slots.
+func (c *Collector) Announce(cells []string) {
 	if c == nil {
 		return
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	b := &batch{order: append([]string(nil), cells...), cells: make(map[string]*cellEntry, len(cells))}
 	for _, id := range cells {
-		b.cells[id] = &cellEntry{}
+		c.index[id] = len(c.cells)
+		c.cells = append(c.cells, cellSlot{cell: id})
 	}
-	c.batches = append(c.batches, b)
 }
 
 // FinishCell records a cell's finished map (nil for a cell that was
-// abandoned before producing coverage). A cell the runner never
-// announced — the single-run path — settles into an implicit one-cell
-// batch, preserving overall dispatch order.
+// abandoned before producing coverage) in its announced slot, or at the
+// end when no open slot awaits it.
 func (c *Collector) FinishCell(cell string, m *Map) {
-	c.finish(cell, cellEntry{m: m, done: true})
-}
-
-// FinishCellEdges is FinishCell for coverage already settled into an
-// edge list, such as a cell's persisted list read back from the run
-// ledger, without rebuilding a Map. nil means the cell produced no
-// coverage. The report shares a list in canonical order with no
-// repeated edge, which is what Edges returns; any other list is
-// canonicalized through FromEdges first.
-func (c *Collector) FinishCellEdges(cell string, edges []Edge) {
-	if edges != nil && !isCanonical(edges) {
-		edges = FromEdges(edges).Edges()
-	}
-	c.finish(cell, cellEntry{edges: edges, done: true})
-}
-
-func (c *Collector) finish(cell string, settled cellEntry) {
 	if c == nil {
 		return
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	for i := len(c.batches) - 1; i >= 0; i-- {
-		if e, ok := c.batches[i].cells[cell]; ok && !e.done {
-			*e = settled
-			return
-		}
+	if i, ok := c.index[cell]; ok && !c.cells[i].done {
+		c.cells[i] = cellSlot{cell: cell, m: m, done: true}
+		return
 	}
-	b := &batch{order: []string{cell}, cells: map[string]*cellEntry{cell: &settled}}
-	c.batches = append(c.batches, b)
+	c.cells = append(c.cells, cellSlot{cell: cell, m: m, done: true})
 }
 
 // isCanonical reports whether edges are strictly in canonical
@@ -148,33 +122,45 @@ func (c *Collector) Report() *Report {
 		return &Report{}
 	}
 	c.mu.Lock()
-	type settled struct {
-		id    string
-		m     *Map
-		edges []Edge
-	}
-	var cells []settled
-	for _, b := range c.batches {
-		for _, id := range b.order {
-			e := b.cells[id]
-			cells = append(cells, settled{id: id, m: e.m, edges: e.edges})
-		}
-	}
+	slots := append([]cellSlot(nil), c.cells...)
 	c.mu.Unlock()
+	cells := make([]CellEdges, len(slots))
+	for i, s := range slots {
+		cells[i] = CellEdges{Cell: s.cell, Edges: s.m.Edges()}
+	}
+	return BuildReport(cells)
+}
 
+// CellEdges is one cell's settled edge list, the input of BuildReport.
+// nil Edges means the cell produced no coverage.
+type CellEdges struct {
+	Cell  string
+	Edges []Edge
+}
+
+// BuildReport computes the campaign report from cells in dispatch
+// order: per-cell digests, the union with first-witness attribution,
+// family counts and the report digest. The report shares each list that
+// is in canonical order with no repeated edge, which is what Map.Edges
+// returns; any other list — a persisted one read back from a file — is
+// canonicalized through FromEdges first.
+func BuildReport(cells []CellEdges) *Report {
 	rep := &Report{}
+	if len(cells) > 0 {
+		rep.Cells = make([]CellCoverage, 0, len(cells))
+	}
 	union := make(map[edgeKey]*UnionEdge)
 	for _, s := range cells {
-		edges := s.edges
-		if edges == nil {
-			edges = s.m.Edges()
+		edges := s.Edges
+		if edges != nil && !isCanonical(edges) {
+			edges = FromEdges(edges).Edges()
 		}
-		cc := CellCoverage{Cell: s.id, Edges: edges, Digest: DigestOf(edges)}
+		cc := CellCoverage{Cell: s.Cell, Edges: edges, Digest: DigestOf(edges)}
 		for _, e := range edges {
 			key := edgeKey{e.Family, e.Name}
 			u, ok := union[key]
 			if !ok {
-				u = &UnionEdge{Family: e.Family, Name: e.Name, FirstCell: s.id}
+				u = &UnionEdge{Family: e.Family, Name: e.Name, FirstCell: s.Cell}
 				union[key] = u
 				cc.NewEdges++
 			}

@@ -134,7 +134,7 @@ func TestCollectorDispatchOrderAttribution(t *testing.T) {
 		return m
 	}
 	col := NewCollector()
-	col.StartBatch([]string{"c1", "c2", "c3"})
+	col.Announce([]string{"c1", "c2", "c3"})
 	// Completion order is adversarial: c3 first, then c1, then c2.
 	col.FinishCell("c3", mk("a", "c"))
 	col.FinishCell("c1", mk("a", "b"))
@@ -164,24 +164,36 @@ func TestCollectorDispatchOrderAttribution(t *testing.T) {
 	}
 }
 
-func TestCollectorImplicitBatchAndNilMaps(t *testing.T) {
+func TestCollectorUnannouncedCellsAndNilMaps(t *testing.T) {
 	col := NewCollector()
-	// A cell never announced settles into an implicit one-cell batch.
+	// A cell never announced appends at the end of the list.
 	m := NewMap()
 	m.DomctlOp("createdomain")
 	col.FinishCell("solo", m)
-	// An announced cell abandoned before producing coverage files nil.
-	col.StartBatch([]string{"dead"})
+	// An announced cell abandoned before producing coverage files nil;
+	// an announced cell still running reports empty until it settles.
+	col.Announce([]string{"dead", "live"})
 	col.FinishCell("dead", nil)
 	rep := col.Report()
-	if len(rep.Cells) != 2 {
-		t.Fatalf("cells: got %d, want 2", len(rep.Cells))
+	if len(rep.Cells) != 3 {
+		t.Fatalf("cells: got %d, want 3", len(rep.Cells))
 	}
 	if rep.Cells[0].Cell != "solo" || rep.Cells[0].NewEdges != 1 {
 		t.Errorf("solo cell wrong: %+v", rep.Cells[0])
 	}
 	if rep.Cells[1].Cell != "dead" || len(rep.Cells[1].Edges) != 0 || rep.Cells[1].NewEdges != 0 {
 		t.Errorf("dead cell must settle empty: %+v", rep.Cells[1])
+	}
+	if rep.Cells[2].Cell != "live" || len(rep.Cells[2].Edges) != 0 {
+		t.Errorf("unsettled cell must report empty: %+v", rep.Cells[2])
+	}
+	// The late cell settles into its announced slot, not at the end.
+	m = NewMap()
+	m.GrantOp("map")
+	col.FinishCell("live", m)
+	rep = col.Report()
+	if len(rep.Cells) != 3 || rep.Cells[2].Cell != "live" || rep.Cells[2].NewEdges != 1 {
+		t.Errorf("live cell must settle into its slot: %+v", rep.Cells)
 	}
 }
 
@@ -223,7 +235,7 @@ func TestVerifyCatchesTampering(t *testing.T) {
 
 func TestNilCollectorIsNoOp(t *testing.T) {
 	var col *Collector
-	col.StartBatch([]string{"a"})
+	col.Announce([]string{"a"})
 	col.FinishCell("a", NewMap())
 	rep := col.Report()
 	if rep.TotalEdges != 0 || len(rep.Cells) != 0 {

@@ -1,10 +1,7 @@
 package events
 
 import (
-	"bufio"
-	"encoding/json"
 	"fmt"
-	"io"
 	"sort"
 	"strings"
 	"sync"
@@ -17,8 +14,10 @@ import (
 // Timeline is the wall-clock scheduler timeline: it implements
 // campaign.SchedObserver and accumulates, per worker, which cells the
 // worker ran, when, and how long each waited in the queue, plus each
-// cell's live status. It backs the /schedule and /cells endpoints, the
-// scheduler gauges on /metrics, and the -schedule Perfetto export.
+// cell's live status. It is the campaign's one record of wall
+// placement: it backs the /schedule and /cells endpoints, the scheduler
+// gauges on /metrics, and both Perfetto exports (-schedule, and the
+// worker tracks and wall offsets of -spans).
 // Everything it measures is wall time — two runs of the same campaign
 // produce different timelines, which is exactly why none of it ever
 // reaches a deterministic artifact.
@@ -291,71 +290,6 @@ func (t *Timeline) Snapshot() Schedule {
 		s.ETANS = int64(remaining) * s.AvgRunNS / int64(realLanes)
 	}
 	return s
-}
-
-// WriteChrome writes the wall schedule as Chrome trace-event JSON in
-// object form ({"traceEvents": [...], "schedule": {...}}), which
-// Perfetto and chrome://tracing load directly: one track per worker,
-// one complete event per settled cell, queue wait and failure class in
-// args, and the Schedule snapshot embedded for tracecheck sched.
-func (t *Timeline) WriteChrome(w io.Writer) error {
-	s := t.Snapshot()
-	bw := bufio.NewWriter(w)
-	bw.WriteString("{\"traceEvents\": [\n")
-	first := true
-	emit := func(ev map[string]any) error {
-		if !first {
-			bw.WriteString(",\n")
-		}
-		first = false
-		raw, err := json.Marshal(ev)
-		if err != nil {
-			return err
-		}
-		_, err = bw.Write(raw)
-		return err
-	}
-	if err := emit(map[string]any{
-		"name": "process_name", "ph": "M", "pid": 1, "tid": 0,
-		"args": map[string]any{"name": "repro wall schedule"},
-	}); err != nil {
-		return err
-	}
-	for _, ln := range s.Workers {
-		name := fmt.Sprintf("worker %d", ln.Worker)
-		if ln.Worker < 0 {
-			name = "undispatched"
-		}
-		if err := emit(map[string]any{
-			"name": "thread_name", "ph": "M", "pid": 1, "tid": ln.Worker + 1,
-			"args": map[string]any{"name": name},
-		}); err != nil {
-			return err
-		}
-		for _, slot := range ln.Slots {
-			args := map[string]any{"queue_us": float64(slot.QueueNS) / 1e3}
-			if slot.Class != "" {
-				args["class"] = slot.Class
-			}
-			if err := emit(map[string]any{
-				"name": slot.Cell, "cat": "cell", "ph": "X",
-				"ts":  float64(slot.StartNS) / 1e3,
-				"dur": float64(slot.RunNS) / 1e3,
-				"pid": 1, "tid": ln.Worker + 1,
-				"args": args,
-			}); err != nil {
-				return err
-			}
-		}
-	}
-	bw.WriteString("\n], \"schedule\": ")
-	raw, err := json.MarshalIndent(s, "", "  ")
-	if err != nil {
-		return err
-	}
-	bw.Write(raw)
-	bw.WriteString("}\n")
-	return bw.Flush()
 }
 
 // fmtNS renders a nanosecond quantity human-readably.

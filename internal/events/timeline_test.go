@@ -5,8 +5,10 @@ import (
 	"encoding/json"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/campaign"
+	"repro/internal/span"
 )
 
 func TestTimelineSnapshot(t *testing.T) {
@@ -119,6 +121,100 @@ func TestTimelineWriteChrome(t *testing.T) {
 	}
 	if f.Schedule.Completed != 3 {
 		t.Fatalf("embedded schedule settled %d, want 3", f.Schedule.Completed)
+	}
+}
+
+// spanCell builds a settled span cell with one boot phase, its wall
+// bounds stretched by sleeping so the placement check has width.
+func spanCell(id string) *span.CellSpans {
+	tr := span.NewTree(id, nil)
+	p := tr.Phase(span.PhaseBoot)
+	time.Sleep(time.Millisecond)
+	tr.End(p)
+	tr.Finish()
+	return &span.CellSpans{Cell: id, Tree: tr}
+}
+
+// The span projection is a valid JSON array with process/track metadata
+// and one complete event per span, each on the track of the worker the
+// timeline saw run its cell and inside that cell's wall slot.
+func TestWriteChromeValidJSON(t *testing.T) {
+	tl := NewTimeline()
+	c := span.NewCollector()
+	cells := []string{"a", "b", "hung"}
+	tl.BatchQueued(cells)
+	c.Announce(cells)
+	for i, id := range cells {
+		w := i % 2
+		tl.CellDispatched(id, w, 0)
+		began := time.Now()
+		cs := &span.CellSpans{Cell: id, Class: "hang"} // no tree: metadata only
+		if id != "hung" {
+			cs = spanCell(id)
+		}
+		c.FinishCell(cs)
+		tl.CellSettled(id, w, 0, time.Since(began).Nanoseconds(), nil, nil)
+	}
+
+	var buf bytes.Buffer
+	if err := tl.WriteSpansChrome(&buf, c.Forest()); err != nil {
+		t.Fatalf("WriteSpansChrome: %v", err)
+	}
+	var rows []struct {
+		Name  string         `json:"name"`
+		Cat   string         `json:"cat"`
+		Phase string         `json:"ph"`
+		TS    float64        `json:"ts"`
+		Dur   float64        `json:"dur"`
+		TID   int            `json:"tid"`
+		Args  map[string]any `json:"args"`
+	}
+	if err := json.Unmarshal(buf.Bytes(), &rows); err != nil {
+		t.Fatalf("export is not a JSON array: %v\n%s", err, buf.String())
+	}
+	slots := map[string]Slot{}
+	for _, ln := range tl.Snapshot().Workers {
+		for _, s := range ln.Slots {
+			slots[s.Cell] = s
+		}
+	}
+	meta, complete := 0, 0
+	tracks := map[int]bool{}
+	for _, r := range rows {
+		switch r.Phase {
+		case "M":
+			meta++
+			if r.Name == "thread_name" {
+				tracks[r.TID] = true
+			}
+		case "X":
+			complete++
+			cell, _ := r.Args["cell"].(string)
+			if cell == "" || r.Args["v_start"] == nil || r.Args["v_end"] == nil {
+				t.Errorf("X event missing args: %+v", r)
+			}
+			if !tracks[r.TID] {
+				t.Errorf("X event on undeclared track %d", r.TID)
+			}
+			s := slots[cell]
+			if r.TID != s.Worker+1 {
+				t.Errorf("%s %q on tid %d, want worker %d's track", cell, r.Name, r.TID, s.Worker)
+			}
+			start, end := float64(s.StartNS)/1e3, float64(s.StartNS+s.RunNS)/1e3
+			if r.TS < start || r.TS+r.Dur > end+1 {
+				t.Errorf("%s %q at [%v,%v]us escapes its slot [%v,%v]us", cell, r.Name, r.TS, r.TS+r.Dur, start, end)
+			}
+		}
+	}
+	// process_name + 2 worker tracks; 2 spans per settled tree.
+	if meta != 3 || complete != 4 {
+		t.Errorf("got %d metadata / %d complete events, want 3/4", meta, complete)
+	}
+
+	// A forest cell the timeline never settled cannot be placed.
+	c.FinishCell(spanCell("elsewhere"))
+	if err := tl.WriteSpansChrome(&bytes.Buffer{}, c.Forest()); err == nil || !strings.Contains(err.Error(), "elsewhere") {
+		t.Errorf("unplaced cell: err = %v, want one naming the cell", err)
 	}
 }
 

@@ -18,6 +18,7 @@ import (
 	"testing"
 
 	"repro/internal/campaign"
+	"repro/internal/coverage"
 	"repro/internal/faults"
 	"repro/internal/ledger"
 	"repro/internal/telemetry"
@@ -234,6 +235,39 @@ func TestRecordDerivedArtifacts(t *testing.T) {
 	}
 	if err := rep.Verify(); err != nil {
 		t.Errorf("rebuilt coverage report fails verification: %v", err)
+	}
+}
+
+// TestLiveCoverageMatchesRecord runs one matrix with a live coverage
+// collector and a ledger writer side by side: the report the collector
+// settles from in-memory maps must equal, field for field and digest
+// included, the one the settled record rebuilds from its persisted
+// edge lists.
+func TestLiveCoverageMatchesRecord(t *testing.T) {
+	store, err := ledger.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := ledger.CurrentConfig(0, false)
+	delta := ledger.PlanDelta(nil, cfg)
+	w, err := store.NewWriter(cfg, delta.Expected)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := &campaign.Runner{Workers: 4, Observer: w, Coverage: coverage.NewCollector()}
+	if _, err := r.RunCellRefs(context.Background(), delta.Rerun); err != nil {
+		t.Fatal(err)
+	}
+	rec, err := w.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	live, settled := r.Coverage.Report(), rec.CoverageReport()
+	if len(live.Cells) != 102 {
+		t.Fatalf("live report covers %d cells, want 102", len(live.Cells))
+	}
+	if !reflect.DeepEqual(live, settled) {
+		t.Fatalf("live coverage report differs from the record's\nlive:   %s\nrecord: %s", live.Digest, settled.Digest)
 	}
 }
 

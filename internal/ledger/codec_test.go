@@ -106,7 +106,7 @@ func oracleCoverageReport(r *Record) *coverage.Report {
 	for _, e := range r.Entries {
 		ids = append(ids, e.Key().Cell())
 	}
-	c.StartBatch(ids)
+	c.Announce(ids)
 	for _, e := range r.Entries {
 		var m *coverage.Map
 		if e.Coverage != nil {

@@ -1,12 +1,15 @@
 package ledger
 
 import (
+	"slices"
+
 	"repro/internal/campaign"
 	"repro/internal/exploits"
 )
 
 // The resume planner. A delta rerun walks the full expected matrix of
-// the current configuration in dispatch order and, for every cell,
+// the current configuration in dispatch order — campaign.MatrixCells
+// filtered to the configured versions — and, for every cell,
 // either reuses the prior record's entry or schedules a re-execution.
 // An entry is reusable when it exists (a canceled cell never enters the
 // canonical record, so interrupted work is simply absent) and its
@@ -34,27 +37,22 @@ type Delta struct {
 // degenerate delta. The prior record must be Compatible with cfg;
 // callers enforce that (ErrIncompatible) before planning.
 func PlanDelta(prev *Record, cfg Config) Delta {
-	var d Delta
-	for _, v := range cfg.Versions {
-		for _, s := range exploits.Specs() {
-			if !s.AppliesTo(v) {
+	refs := campaign.MatrixCells(func(c campaign.CellRef) bool { return slices.Contains(cfg.Versions, c.Version) })
+	d := Delta{Expected: len(refs)}
+	if prev == nil {
+		d.Rerun = refs
+		return d
+	}
+	for _, ref := range refs {
+		e := prev.EntryByKey(Key{Scenario: ref.UseCase, Version: ref.Version, Mode: string(ref.Mode), Seed: cfg.Seed})
+		if e != nil {
+			if s, err := exploits.SpecByName(ref.UseCase); err == nil && e.SpecDigest == s.Digest() {
+				d.Reused = append(d.Reused, e)
 				continue
 			}
-			for _, mode := range []campaign.Mode{campaign.ModeExploit, campaign.ModeInjection} {
-				d.Expected++
-				if prev != nil {
-					e := prev.EntryByKey(Key{Scenario: s.Name, Version: v, Mode: string(mode), Seed: cfg.Seed})
-					if e != nil && e.SpecDigest == s.Digest() {
-						d.Reused = append(d.Reused, e)
-						continue
-					}
-					if e != nil {
-						d.Stale++
-					}
-				}
-				d.Rerun = append(d.Rerun, campaign.CellRef{Version: v, UseCase: s.Name, Mode: mode})
-			}
+			d.Stale++
 		}
+		d.Rerun = append(d.Rerun, ref)
 	}
 	return d
 }

@@ -242,25 +242,16 @@ func TestStoreRunsNewestFirst(t *testing.T) {
 	}
 }
 
-// livePrefix builds entries for the live registry's first n (version,
-// spec, mode) coordinates in dispatch order — the shape PlanDelta walks.
+// livePrefix builds entries for the live registry's first n matrix
+// cells in dispatch order — the list PlanDelta walks.
 func livePrefix(cfg ledger.Config, n int) []*ledger.Entry {
 	var out []*ledger.Entry
-	for _, v := range cfg.Versions {
-		for _, s := range exploits.Specs() {
-			if !s.AppliesTo(v) {
-				continue
-			}
-			for _, mode := range []string{string(campaign.ModeExploit), string(campaign.ModeInjection)} {
-				if len(out) >= n {
-					return out
-				}
-				e := entry(v, s.Name, mode, 0)
-				e.Seed = cfg.Seed
-				e.SpecDigest = s.Digest()
-				out = append(out, e)
-			}
-		}
+	for _, ref := range campaign.MatrixCells(nil)[:n] {
+		spec, _ := exploits.SpecByName(ref.UseCase)
+		e := entry(ref.Version, ref.UseCase, string(ref.Mode), 0)
+		e.Seed = cfg.Seed
+		e.SpecDigest = spec.Digest()
+		out = append(out, e)
 	}
 	return out
 }

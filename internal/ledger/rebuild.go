@@ -66,29 +66,22 @@ func (r *Record) EquivalenceVerdicts() (verdicts []tracediff.CellVerdict, ok boo
 	return verdicts, len(verdicts) > 0
 }
 
-// CoverageReport replays the record's per-cell coverage through the
-// live campaign aggregation: one batch of all cells in dispatch order,
-// so union membership, first-witness attribution and the report digest
-// are identical to what the campaign's own collector produced. Each
-// entry's persisted edge list goes in as it is (the report shares it);
-// an entry with coverage but no edges maps to an empty, non-nil list,
-// as an empty map's Edges does.
+// CoverageReport builds the record's coverage report from the
+// per-cell edge lists in dispatch order, through the builder the live
+// campaign collector uses, so union membership, first-witness
+// attribution and the report digest are identical to what the
+// campaign's own collector produced. An entry with coverage but no
+// edges maps to an empty, non-nil list, as an empty map's Edges does.
 func (r *Record) CoverageReport() *coverage.Report {
-	c := coverage.NewCollector()
-	ids := make([]string, len(r.Entries))
+	cells := make([]coverage.CellEdges, len(r.Entries))
 	for i, e := range r.Entries {
-		ids[i] = e.Key().Cell()
-	}
-	c.StartBatch(ids)
-	for i, e := range r.Entries {
-		var edges []coverage.Edge
+		cells[i].Cell = e.Key().Cell()
 		if e.Coverage != nil {
-			edges = e.Coverage.EdgeList
-			if edges == nil {
-				edges = []coverage.Edge{}
+			cells[i].Edges = e.Coverage.EdgeList
+			if cells[i].Edges == nil {
+				cells[i].Edges = []coverage.Edge{}
 			}
 		}
-		c.FinishCellEdges(ids[i], edges)
 	}
-	return c.Report()
+	return coverage.BuildReport(cells)
 }

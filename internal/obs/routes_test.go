@@ -106,7 +106,7 @@ func TestCoverageEndpoint(t *testing.T) {
 	m := coverage.NewMap()
 	m.Hypercall(1, "mmu_update", false)
 	m.GrantOp("map")
-	col.StartBatch([]string{"4.6/x/exploit"})
+	col.Announce([]string{"4.6/x/exploit"})
 	col.FinishCell("4.6/x/exploit", m)
 
 	status, ctype, body := get(t, base+"/coverage")

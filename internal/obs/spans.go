@@ -3,7 +3,6 @@ package obs
 import (
 	"encoding/json"
 	"net/http"
-	"time"
 
 	"repro/internal/span"
 )
@@ -11,7 +10,9 @@ import (
 // The /spans endpoint: the live span forest as JSON. CellSpans keeps
 // its *Tree out of its own JSON form (the tree is engine-internal
 // state), so the wire view re-attaches each cell's spans explicitly,
-// with span kinds as their wire names.
+// with span kinds as their wire names. Worker and wall placement are
+// not here: /schedule and /cells serve them from the scheduler
+// timeline.
 
 // wireSpan is one span on the /spans wire: the span's own JSON fields
 // plus the kind's wire name.
@@ -26,16 +27,10 @@ type wireCell struct {
 	Spans []wireSpan `json:"spans"`
 }
 
-// wireBatch is one batch on the /spans wire.
-type wireBatch struct {
-	Name  string     `json:"name"`
-	Cells []wireCell `json:"cells"`
-}
-
-// wireForest is the /spans response body.
+// wireForest is the /spans response body: the settled cells in
+// dispatch order.
 type wireForest struct {
-	Epoch   time.Time   `json:"epoch"`
-	Batches []wireBatch `json:"batches"`
+	Cells []wireCell `json:"cells"`
 }
 
 func (s *Server) handleSpans(w http.ResponseWriter, _ *http.Request) {
@@ -43,19 +38,14 @@ func (s *Server) handleSpans(w http.ResponseWriter, _ *http.Request) {
 		http.Error(w, "span collection not enabled (run with -spans)", http.StatusNotFound)
 		return
 	}
-	f := s.spans.Forest()
-	out := wireForest{Epoch: f.Epoch, Batches: make([]wireBatch, 0, len(f.Batches))}
-	for bi := range f.Batches {
-		b := &f.Batches[bi]
-		wb := wireBatch{Name: b.Name, Cells: make([]wireCell, 0, len(b.Cells))}
-		for _, cs := range b.Cells {
-			wc := wireCell{CellSpans: cs}
-			for _, sp := range cs.Tree.Spans() {
-				wc.Spans = append(wc.Spans, wireSpan{Span: sp, Kind: sp.Kind.String()})
-			}
-			wb.Cells = append(wb.Cells, wc)
+	cells := s.spans.Forest().Cells()
+	out := wireForest{Cells: make([]wireCell, 0, len(cells))}
+	for _, cs := range cells {
+		wc := wireCell{CellSpans: cs}
+		for _, sp := range cs.Tree.Spans() {
+			wc.Spans = append(wc.Spans, wireSpan{Span: sp, Kind: sp.Kind.String()})
 		}
-		out.Batches = append(out.Batches, wb)
+		out.Cells = append(out.Cells, wc)
 	}
 	w.Header().Set("Content-Type", "application/json")
 	enc := json.NewEncoder(w)

@@ -136,25 +136,35 @@ func TestSpansEndpoint(t *testing.T) {
 	if !strings.Contains(ctype, "application/json") {
 		t.Errorf("/spans content type %q", ctype)
 	}
-	var forest struct {
-		Batches []struct {
-			Name  string `json:"name"`
-			Cells []struct {
-				Cell  string `json:"cell"`
-				Spans []struct {
-					Kind string `json:"kind"`
-					Name string `json:"name"`
-				} `json:"spans"`
-			} `json:"cells"`
-		} `json:"batches"`
-	}
+	// One flat cell list: no epoch, batch, worker or wall offset —
+	// /schedule and /cells serve the placement.
+	var forest map[string][]map[string]json.RawMessage
 	if err := json.Unmarshal([]byte(body), &forest); err != nil {
 		t.Fatalf("/spans is not JSON: %v\n%s", err, body)
 	}
-	if len(forest.Batches) != 1 || len(forest.Batches[0].Cells) != 1 {
-		t.Fatalf("/spans shape: %+v", forest)
+	if len(forest) != 1 || len(forest["cells"]) != 1 {
+		t.Fatalf("/spans shape: want {\"cells\": [one cell]}\n%s", body)
 	}
-	cell := forest.Batches[0].Cells[0]
+	for field := range forest["cells"][0] {
+		switch field {
+		case "cell", "class", "latency", "spans":
+		default:
+			t.Errorf("/spans cell carries unexpected field %q", field)
+		}
+	}
+	var wire struct {
+		Cells []struct {
+			Cell  string `json:"cell"`
+			Spans []struct {
+				Kind string `json:"kind"`
+				Name string `json:"name"`
+			} `json:"spans"`
+		} `json:"cells"`
+	}
+	if err := json.Unmarshal([]byte(body), &wire); err != nil {
+		t.Fatal(err)
+	}
+	cell := wire.Cells[0]
 	if cell.Cell != "4.8/XSA-148-priv/injection" {
 		t.Errorf("/spans cell = %q", cell.Cell)
 	}

@@ -29,8 +29,8 @@ func phaseColumns(f *span.Forest) []string {
 }
 
 // SpanSummary renders the campaign's span forest: campaign-wide phase
-// totals, the deterministic critical-path analysis of every batch at
-// the given pool size, and the per-cell detection-latency table (RQ3).
+// totals, the deterministic critical-path analysis of its cells at the
+// given pool size, and the per-cell detection-latency table (RQ3).
 // Everything in it is measured in virtual time (events), so the output
 // is byte-identical at any worker count and golden-pinnable.
 func SpanSummary(f *span.Forest, workers int) string {
@@ -51,25 +51,24 @@ func SpanSummary(f *span.Forest, workers int) string {
 		b.WriteString(fmt.Sprintf("%-40s %d\n", p, totals[p]))
 	}
 
-	for bi := range f.Batches {
-		batch := &f.Batches[bi]
-		cp := span.AnalyzeCriticalPath(batch, workers)
-		b.WriteString(rule(72) + "\n")
-		b.WriteString(fmt.Sprintf("%s: %d cells, workers=%d\n", batch.Name, len(batch.Cells), cp.Workers))
-		b.WriteString(fmt.Sprintf("critical path: makespan=%d total=%d efficiency=%.3f\n",
-			cp.MakespanV, cp.TotalV, cp.Efficiency))
-		header := fmt.Sprintf("%-36s %8s", "Cell (critical chain)", "total")
+	cp := span.AnalyzeCriticalPath(f, workers)
+	b.WriteString(rule(72) + "\n")
+	// The header keeps the "batch01" name the summary was first pinned
+	// with; a forest is one campaign.
+	b.WriteString(fmt.Sprintf("batch01: %d cells, workers=%d\n", len(cells), cp.Workers))
+	b.WriteString(fmt.Sprintf("critical path: makespan=%d total=%d efficiency=%.3f\n",
+		cp.MakespanV, cp.TotalV, cp.Efficiency))
+	header := fmt.Sprintf("%-36s %8s", "Cell (critical chain)", "total")
+	for _, p := range cols {
+		header += fmt.Sprintf(" %8s", p)
+	}
+	b.WriteString(header + "\n")
+	for _, cc := range cp.Chain {
+		row := fmt.Sprintf("%-36s %8d", cc.Cell, cc.TotalV)
 		for _, p := range cols {
-			header += fmt.Sprintf(" %8s", p)
+			row += fmt.Sprintf(" %8d", cc.PhaseV[p])
 		}
-		b.WriteString(header + "\n")
-		for _, cc := range cp.Chain {
-			row := fmt.Sprintf("%-36s %8d", cc.Cell, cc.TotalV)
-			for _, p := range cols {
-				row += fmt.Sprintf(" %8d", cc.PhaseV[p])
-			}
-			b.WriteString(row + "\n")
-		}
+		b.WriteString(row + "\n")
 	}
 
 	b.WriteString(rule(72) + "\n")

@@ -11,7 +11,7 @@ import (
 // clean cell with a measured latency, one failed cell without.
 func summaryForest() *span.Forest {
 	c := span.NewCollector()
-	c.StartBatch([]string{"a", "b"})
+	c.Announce([]string{"a", "b"})
 	mk := func(id string, boot, inject uint64) *span.CellSpans {
 		v := new(uint64)
 		tr := span.NewTree(id, func() uint64 { return *v })

@@ -4,23 +4,17 @@ import (
 	"fmt"
 	"strings"
 	"sync"
-	"time"
 )
 
 // CellSpans is one settled cell's contribution to the forest: its span
-// tree, the worker that ran it, its wall placement, and its detection
-// latency. Trees are nil for cells the engine had to abandon (hangs,
-// cancellations) — their goroutines own the tree and may still be
-// running, so the collector records only the classification.
+// tree, its failure class and its detection latency. Trees are nil for
+// cells the engine had to abandon (hangs, cancellations) — their
+// goroutines own the tree and may still be running, so the collector
+// records only the classification. Where and when the cell ran is the
+// scheduler timeline's record (events.Timeline), not the forest's.
 type CellSpans struct {
 	// Cell is the "version/use-case/mode" identity.
 	Cell string `json:"cell"`
-	// Worker is the 0-based worker-pool index that ran the cell.
-	Worker int `json:"worker"`
-	// OffsetNS is the cell's wall start relative to the forest epoch.
-	OffsetNS int64 `json:"offset_ns"`
-	// WallNS is the cell's settled wall duration.
-	WallNS int64 `json:"wall_ns"`
 	// Class is the failure classification for failed cells, "" on
 	// success.
 	Class string `json:"class,omitempty"`
@@ -30,117 +24,69 @@ type CellSpans struct {
 	Tree *Tree `json:"-"`
 }
 
-// Batch is one dispatched batch of cells, in cell (dispatch) order.
-type Batch struct {
-	// Name identifies the batch within the run ("batch01", ...).
-	Name string `json:"name"`
-	// Cells are the settled cells, in the batch's announced cell order.
-	// Unsettled cells (still running, or never dispatched) are nil.
-	Cells []*CellSpans `json:"cells"`
-
+// Collector assembles a campaign's span forest as one ordered cell
+// list. It is safe for concurrent use by campaign workers: the runner
+// announces the campaign's cells in dispatch order, and each cell
+// settles into its announced slot in whatever order workers finish it.
+// A cell settling without an announcement (Runner.RunContext single-cell
+// paths) appends at the end. The zero value is NOT usable — build one
+// with NewCollector.
+type Collector struct {
+	mu    sync.Mutex
+	cells []*CellSpans // dispatch order; nil until the cell settles
 	index map[string]int
 }
 
-// Collector assembles a campaign's span forest. It is safe for
-// concurrent use by campaign workers; the runner notifies it as batches
-// are announced and cells settle. The zero value is NOT usable — build
-// one with NewCollector.
-type Collector struct {
-	mu      sync.Mutex
-	epoch   time.Time
-	batches []*Batch
-}
-
-// NewCollector creates an empty collector whose wall epoch is now.
+// NewCollector creates an empty collector.
 func NewCollector() *Collector {
-	return &Collector{epoch: time.Now()}
+	return &Collector{index: make(map[string]int)}
 }
 
-// Epoch returns the collector's wall epoch.
-func (c *Collector) Epoch() time.Time {
+// Announce appends cells to the forest in dispatch order, as unsettled
+// slots.
+func (c *Collector) Announce(cells []string) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.epoch
+	for _, id := range cells {
+		c.index[id] = len(c.cells)
+		c.cells = append(c.cells, nil)
+	}
 }
 
-// StartBatch announces a batch's cells in dispatch order. Cells settle
-// into the most recently announced batch (batches never overlap — the
-// runner's experiments are sequential).
-func (c *Collector) StartBatch(cells []string) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	b := &Batch{
-		Name:  fmt.Sprintf("batch%02d", len(c.batches)+1),
-		Cells: make([]*CellSpans, len(cells)),
-		index: make(map[string]int, len(cells)),
-	}
-	for i, id := range cells {
-		// First unsettled slot wins on duplicate ids (a batch never
-		// dispatches the same cell twice, but be defensive).
-		if _, ok := b.index[id]; !ok {
-			b.index[id] = i
-		}
-	}
-	c.batches = append(c.batches, b)
-}
-
-// FinishCell records a settled cell. A cell settling outside any
-// announced batch (Runner.RunContext single-cell paths) gets an implicit
-// one-cell batch.
+// FinishCell records a settled cell in its announced slot, or at the
+// end when no open slot awaits it.
 func (c *Collector) FinishCell(cs *CellSpans) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if n := len(c.batches); n > 0 {
-		b := c.batches[n-1]
-		if i, ok := b.index[cs.Cell]; ok && b.Cells[i] == nil {
-			b.Cells[i] = cs
-			return
-		}
+	if i, ok := c.index[cs.Cell]; ok && c.cells[i] == nil {
+		c.cells[i] = cs
+		return
 	}
-	c.batches = append(c.batches, &Batch{
-		Name:  fmt.Sprintf("batch%02d", len(c.batches)+1),
-		Cells: []*CellSpans{cs},
-		index: map[string]int{cs.Cell: 0},
-	})
+	c.cells = append(c.cells, cs)
 }
 
-// Forest snapshots the collected batches. Batches and cells are in
-// deterministic dispatch order; unsettled cells are dropped.
+// Forest snapshots the settled cells in dispatch order; unsettled
+// cells are dropped.
 func (c *Collector) Forest() *Forest {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	f := &Forest{Epoch: c.epoch}
-	for _, b := range c.batches {
-		nb := Batch{Name: b.Name}
-		for _, cs := range b.Cells {
-			if cs != nil {
-				nb.Cells = append(nb.Cells, cs)
-			}
-		}
-		if len(nb.Cells) > 0 {
-			f.Batches = append(f.Batches, nb)
+	f := &Forest{cells: make([]*CellSpans, 0, len(c.cells))}
+	for _, cs := range c.cells {
+		if cs != nil {
+			f.cells = append(f.cells, cs)
 		}
 	}
 	return f
 }
 
-// Forest is a snapshot of a campaign's span trees: campaign → batch →
-// cell → the per-cell trees.
+// Forest is a snapshot of a campaign's span trees: campaign → cell →
+// the per-cell trees.
 type Forest struct {
-	// Epoch is the wall origin every OffsetNS is relative to.
-	Epoch time.Time `json:"epoch"`
-	// Batches are the dispatched batches in order.
-	Batches []Batch `json:"batches"`
+	cells []*CellSpans
 }
 
-// Cells returns every settled cell in batch-then-cell order.
-func (f *Forest) Cells() []*CellSpans {
-	var out []*CellSpans
-	for i := range f.Batches {
-		out = append(out, f.Batches[i].Cells...)
-	}
-	return out
-}
+// Cells returns every settled cell in dispatch order.
+func (f *Forest) Cells() []*CellSpans { return f.cells }
 
 // Check runs the tree invariants over every collected cell.
 func (f *Forest) Check() error {
@@ -191,24 +137,22 @@ func (cs *CellSpans) cost() CellCost {
 	return cc
 }
 
-// CriticalPath is the deterministic critical-path analysis of one batch
+// CriticalPath is the deterministic critical-path analysis of a forest
 // on an N-worker pool: which chain of cells bounds the campaign's
 // completion in virtual time, and by how much.
 //
 // The engine's real scheduler is a work-queue — cells go to whichever
 // worker frees up first, so the wall-time assignment is racy. The
 // analysis replays the same policy deterministically in virtual time:
-// cells dispatch in batch order, each to the worker with the least
+// cells dispatch in forest order, each to the worker with the least
 // accumulated virtual cost (ties to the lowest worker index). The chain
 // on the most loaded simulated worker is the critical path: no schedule
-// of this batch at this pool size finishes before its last cell's chain
-// completes.
+// of these cells at this pool size finishes before its last cell's
+// chain completes.
 type CriticalPath struct {
-	// Batch is the analyzed batch's name.
-	Batch string `json:"batch"`
 	// Workers is the simulated pool size.
 	Workers int `json:"workers"`
-	// TotalV is the summed virtual cost of every cell in the batch.
+	// TotalV is the summed virtual cost of every analyzed cell.
 	TotalV uint64 `json:"total_v"`
 	// MakespanV is the simulated completion time: the critical chain's
 	// accumulated virtual cost.
@@ -220,12 +164,13 @@ type CriticalPath struct {
 	Efficiency float64 `json:"efficiency"`
 }
 
-// AnalyzeCriticalPath runs the deterministic critical-path analysis for
-// a batch at the given pool size (clamped to [1, len(cells)]).
-func AnalyzeCriticalPath(b *Batch, workers int) CriticalPath {
-	cells := make([]*CellSpans, 0, len(b.Cells))
-	for _, cs := range b.Cells {
-		if cs != nil && cs.Tree != nil {
+// AnalyzeCriticalPath runs the deterministic critical-path analysis
+// over the forest's cells that kept a tree, at the given pool size
+// (clamped to [1, len(cells)]).
+func AnalyzeCriticalPath(f *Forest, workers int) CriticalPath {
+	cells := make([]*CellSpans, 0, len(f.cells))
+	for _, cs := range f.cells {
+		if cs.Tree != nil {
 			cells = append(cells, cs)
 		}
 	}
@@ -235,7 +180,7 @@ func AnalyzeCriticalPath(b *Batch, workers int) CriticalPath {
 	if workers > len(cells) && len(cells) > 0 {
 		workers = len(cells)
 	}
-	cp := CriticalPath{Batch: b.Name, Workers: workers}
+	cp := CriticalPath{Workers: workers}
 	load := make([]uint64, workers)
 	chains := make([][]CellCost, workers)
 	for _, cs := range cells {
@@ -263,19 +208,20 @@ func AnalyzeCriticalPath(b *Batch, workers int) CriticalPath {
 	return cp
 }
 
-// Canonical renders the forest's deterministic structure: batch and
-// cell headers, then each tree's spans in pre-order with kind, name and
-// virtual interval, indented by depth. Wall times, worker assignment
-// and epoch are excluded, so the rendering is byte-identical at any
-// worker count — it is the golden-pin and digest surface.
+// Canonical renders the forest's deterministic structure: a header
+// line, cell headers, then each tree's spans in pre-order with kind,
+// name and virtual interval, indented by depth. Wall times and worker
+// assignment are excluded, so the rendering is byte-identical at any
+// worker count — it is the golden-pin and digest surface. The header
+// keeps the "batch01" name the pinned digests were taken with.
 func (f *Forest) Canonical() string {
+	if len(f.cells) == 0 {
+		return ""
+	}
 	var b strings.Builder
-	for bi := range f.Batches {
-		batch := &f.Batches[bi]
-		fmt.Fprintf(&b, "%s cells=%d\n", batch.Name, len(batch.Cells))
-		for _, cs := range batch.Cells {
-			writeCanonicalTree(&b, cs)
-		}
+	fmt.Fprintf(&b, "batch01 cells=%d\n", len(f.cells))
+	for _, cs := range f.cells {
+		writeCanonicalTree(&b, cs)
 	}
 	return b.String()
 }

@@ -3,7 +3,7 @@
 // was the system *doing* when they happened, and inside what". Spans
 // form a tree per campaign cell — cell → phase (boot, exploit/inject,
 // assess) → individual hypercall and mm-operation spans — and a forest
-// per campaign (campaign → batch → cell), the structured, hierarchical
+// per campaign (campaign → cell), the structured, hierarchical
 // timing capture that record-and-replay tracing frameworks show is what
 // makes virtualization-stack behaviour analyzable, as opposed to flat
 // logs.
@@ -16,8 +16,9 @@
 //     structure — are byte-identical at any worker count and under any
 //     seeded -chaos plan.
 //   - Wall time: nanoseconds since the tree's epoch. Wall times feed
-//     the Chrome trace export and the observed critical path; they are
-//     never part of the canonical structure.
+//     the Chrome trace export, which places each tree on the worker
+//     track and at the wall offset the scheduler timeline recorded for
+//     its cell; they are never part of the canonical structure.
 //
 // A nil *Tree is the disabled state: every method no-ops, so
 // instrumented paths cost one predicted branch when spans are off,
@@ -35,12 +36,8 @@ type Kind uint8
 
 // Span kinds, root to leaf.
 const (
-	// KindCampaign is the forest root covering a whole CLI invocation.
-	KindCampaign Kind = iota + 1
-	// KindBatch is one dispatched batch of cells (one Runner experiment).
-	KindBatch
 	// KindCell is one campaign cell's root span.
-	KindCell
+	KindCell Kind = iota + 1
 	// KindPhase is a cell lifecycle phase: boot, exploit/inject, assess.
 	KindPhase
 	// KindHypercall is one hypercall dispatch.
@@ -54,10 +51,6 @@ const (
 // String returns the snake_case wire name of the kind.
 func (k Kind) String() string {
 	switch k {
-	case KindCampaign:
-		return "campaign"
-	case KindBatch:
-		return "batch"
 	case KindCell:
 		return "cell"
 	case KindPhase:

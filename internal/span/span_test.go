@@ -8,10 +8,9 @@ package span_test
 // what it accepts and what it rejects.
 
 import (
-	"bytes"
-	"encoding/json"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/span"
 	"repro/internal/telemetry"
@@ -228,59 +227,66 @@ func TestDetectionLatency(t *testing.T) {
 
 // finishedCell builds a settled cell whose root span is exactly totalV
 // wide, with a single boot phase covering it.
-func finishedCell(id string, worker int, totalV uint64) *span.CellSpans {
+func finishedCell(id string, totalV uint64) *span.CellSpans {
 	tr, v := clockTree(id)
 	p := tr.Phase(span.PhaseBoot)
 	*v = totalV
 	tr.End(p)
 	tr.Finish()
-	return &span.CellSpans{Cell: id, Worker: worker, Tree: tr}
+	return &span.CellSpans{Cell: id, Tree: tr}
 }
 
-func TestCollectorAssemblesBatchesInDispatchOrder(t *testing.T) {
-	c := span.NewCollector()
-	c.StartBatch([]string{"a", "b", "c"})
-	// Cells settle out of order; the forest keeps dispatch order.
-	c.FinishCell(finishedCell("c", 2, 3))
-	c.FinishCell(finishedCell("a", 0, 1))
-	c.FinishCell(finishedCell("b", 1, 2))
-	// A second batch with an unsettled cell: it is dropped.
-	c.StartBatch([]string{"d", "e"})
-	c.FinishCell(finishedCell("e", 0, 5))
-	// A cell outside any announced batch gets an implicit batch.
-	c.FinishCell(finishedCell("stray", 0, 7))
-
-	f := c.Forest()
-	if err := f.Check(); err != nil {
-		t.Fatalf("forest Check: %v", err)
-	}
-	if len(f.Batches) != 3 {
-		t.Fatalf("got %d batches, want 3", len(f.Batches))
-	}
+// cellOrder lists a forest's cells.
+func cellOrder(f *span.Forest) string {
 	var order []string
 	for _, cs := range f.Cells() {
 		order = append(order, cs.Cell)
 	}
-	want := []string{"a", "b", "c", "e", "stray"}
-	if strings.Join(order, ",") != strings.Join(want, ",") {
-		t.Errorf("forest cell order = %v, want %v", order, want)
+	return strings.Join(order, ",")
+}
+
+func TestCollectorAssemblesCellsInDispatchOrder(t *testing.T) {
+	c := span.NewCollector()
+	// A cell settling before any announcement appends at the end.
+	c.FinishCell(finishedCell("early", 6))
+	c.Announce([]string{"a", "b", "c", "d"})
+	// Cells settle out of order; the forest keeps dispatch order.
+	c.FinishCell(finishedCell("c", 3))
+	c.FinishCell(finishedCell("a", 1))
+	c.FinishCell(finishedCell("b", 2))
+	// A cell outside the announced list appends after it.
+	c.FinishCell(finishedCell("stray", 7))
+
+	// The unsettled cell d is dropped.
+	f := c.Forest()
+	if err := f.Check(); err != nil {
+		t.Fatalf("forest Check: %v", err)
 	}
-	if f.Batches[0].Name != "batch01" || f.Batches[1].Name != "batch02" {
-		t.Errorf("batch names = %q, %q", f.Batches[0].Name, f.Batches[1].Name)
+	if got, want := cellOrder(f), "early,a,b,c,stray"; got != want {
+		t.Errorf("forest cell order = %s, want %s", got, want)
+	}
+	// A settle into an already settled name appends; d settles into
+	// its slot.
+	c.FinishCell(finishedCell("a", 9))
+	c.FinishCell(finishedCell("d", 4))
+	if got, want := cellOrder(c.Forest()), "early,a,b,c,d,stray,a"; got != want {
+		t.Errorf("forest cell order = %s, want %s", got, want)
 	}
 }
 
 // The critical-path analysis replays least-loaded dispatch
 // deterministically: known costs produce a known chain.
 func TestAnalyzeCriticalPath(t *testing.T) {
-	b := &span.Batch{Name: "batch01"}
-	for _, c := range []struct {
+	c := span.NewCollector()
+	for _, cell := range []struct {
 		id string
 		v  uint64
 	}{{"c1", 5}, {"c2", 4}, {"c3", 3}, {"c4", 2}, {"c5", 1}} {
-		b.Cells = append(b.Cells, finishedCell(c.id, 0, c.v))
+		c.FinishCell(finishedCell(cell.id, cell.v))
 	}
-	cp := span.AnalyzeCriticalPath(b, 2)
+	c.FinishCell(&span.CellSpans{Cell: "hung", Class: "hang"}) // no tree: not analyzed
+	f := c.Forest()
+	cp := span.AnalyzeCriticalPath(f, 2)
 	// Dispatch replay: c1->w0(5), c2->w1(4), c3->w1(7), c4->w0(7),
 	// c5 ties -> w0(8). Critical chain is w0: c1,c4,c5.
 	if cp.TotalV != 15 || cp.MakespanV != 8 {
@@ -298,29 +304,30 @@ func TestAnalyzeCriticalPath(t *testing.T) {
 	}
 
 	// Pool clamps: zero/negative to 1, oversize to the cell count.
-	if cp := span.AnalyzeCriticalPath(b, 0); cp.Workers != 1 || cp.MakespanV != 15 {
+	if cp := span.AnalyzeCriticalPath(f, 0); cp.Workers != 1 || cp.MakespanV != 15 {
 		t.Errorf("workers=0: %+v, want serial makespan 15", cp)
 	}
-	if cp := span.AnalyzeCriticalPath(b, 64); cp.Workers != 5 || cp.MakespanV != 5 {
+	if cp := span.AnalyzeCriticalPath(f, 64); cp.Workers != 5 || cp.MakespanV != 5 {
 		t.Errorf("workers=64: workers=%d makespan=%d, want 5/5", cp.Workers, cp.MakespanV)
 	}
 }
 
-// Canonical output excludes wall times and worker placement, so two
-// forests with identical virtual structure render byte-identically.
+// Canonical output excludes wall times (worker placement lives on the
+// scheduler timeline, never in the forest), so two forests with
+// identical virtual structure render byte-identically; it keeps the
+// one "batch01" header line the pinned forest digests were taken with.
 func TestCanonicalExcludesWallAndWorker(t *testing.T) {
-	build := func(worker int, wall int64) string {
+	build := func() string {
 		c := span.NewCollector()
-		c.StartBatch([]string{"a", "b"})
-		ca := finishedCell("a", worker, 4)
-		ca.WallNS, ca.OffsetNS = wall, wall
-		c.FinishCell(ca)
-		c.FinishCell(&span.CellSpans{Cell: "b", Worker: worker, Class: "hang"})
+		c.Announce([]string{"a", "b"})
+		c.FinishCell(finishedCell("a", 4))
+		c.FinishCell(&span.CellSpans{Cell: "b", Class: "hang"})
 		return c.Forest().Canonical()
 	}
-	one, two := build(0, 111), build(7, 999)
-	if one != two {
-		t.Errorf("canonical differs with wall/worker placement:\n%s\nvs\n%s", one, two)
+	one := build()
+	time.Sleep(time.Millisecond) // the second forest's wall times differ
+	if two := build(); one != two {
+		t.Errorf("canonical differs with wall times:\n%s\nvs\n%s", one, two)
 	}
 	for _, want := range []string{
 		"batch01 cells=2\n",
@@ -333,47 +340,10 @@ func TestCanonicalExcludesWallAndWorker(t *testing.T) {
 			t.Errorf("canonical missing %q:\n%s", want, one)
 		}
 	}
-}
-
-// The Chrome export is a valid JSON array with process/track metadata
-// and one complete event per span, on the owning worker's track.
-func TestWriteChromeValidJSON(t *testing.T) {
-	c := span.NewCollector()
-	c.StartBatch([]string{"a", "b"})
-	c.FinishCell(finishedCell("a", 0, 4))
-	c.FinishCell(finishedCell("b", 1, 2))
-	c.FinishCell(&span.CellSpans{Cell: "hung", Worker: 1, Class: "hang"}) // no tree: metadata only
-
-	var buf bytes.Buffer
-	if err := span.WriteChrome(&buf, c.Forest()); err != nil {
-		t.Fatalf("WriteChrome: %v", err)
+	if got := strings.Count(one, "batch01"); got != 1 {
+		t.Errorf("canonical carries %d batch01 headers, want 1:\n%s", got, one)
 	}
-	var rows []map[string]any
-	if err := json.Unmarshal(buf.Bytes(), &rows); err != nil {
-		t.Fatalf("export is not a JSON array: %v\n%s", err, buf.String())
-	}
-	meta, complete := 0, 0
-	tracks := map[float64]bool{}
-	for _, r := range rows {
-		switch r["ph"] {
-		case "M":
-			meta++
-			if r["name"] == "thread_name" {
-				tracks[r["tid"].(float64)] = true
-			}
-		case "X":
-			complete++
-			args := r["args"].(map[string]any)
-			if args["cell"] == "" || args["v_start"] == nil || args["v_end"] == nil {
-				t.Errorf("X event missing args: %v", r)
-			}
-			if !tracks[r["tid"].(float64)] {
-				t.Errorf("X event on undeclared track %v", r["tid"])
-			}
-		}
-	}
-	// process_name + 2 worker tracks; 2 spans per settled cell.
-	if meta != 3 || complete != 4 {
-		t.Errorf("got %d metadata / %d complete events, want 3/4", meta, complete)
+	if got := span.NewCollector().Forest().Canonical(); got != "" {
+		t.Errorf("empty forest renders %q, want nothing", got)
 	}
 }
